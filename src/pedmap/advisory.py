@@ -17,6 +17,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from io import TextIOWrapper
+from math import isfinite
 from typing import IO, Iterable, Iterator, Literal, Optional, Union
 
 from .geodesy import (
@@ -59,6 +60,9 @@ class AdvisoryConfig:
     min_count: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("reaction_time", "friction", "grade", "safety_factor", "sampling_distance", "heading_threshold"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.reaction_time <= 0:
             raise ValueError("reaction_time must be > 0")
         if self.safety_factor <= 0:
@@ -197,15 +201,8 @@ def _kinematics_at(trace: DriveTrace, arcs: list[float], arc_position: float) ->
         raise ValueError("degenerate trace: no segment with a defined heading")
     heading = initial_bearing(trace.fixes[j].position, trace.fixes[j + 1].position)
 
-    # Strictly increasing timestamps are validated at construction; guard anyway
-    # and fall back to the previous segment's speed on a zero duration.
-    k = seg
-    while k >= 0 and trace.fixes[k + 1].timestamp_ms == trace.fixes[k].timestamp_ms:
-        k -= 1
-    if k < 0:
-        raise ValueError("degenerate trace: no segment with positive duration")
-    duration_s = (trace.fixes[k + 1].timestamp_ms - trace.fixes[k].timestamp_ms) / 1000.0
-    speed_kmh = (arcs[k + 1] - arcs[k]) / duration_s * KMH_PER_MPS
+    duration_s = (b.timestamp_ms - a.timestamp_ms) / 1000.0
+    speed_kmh = seg_len / duration_s * KMH_PER_MPS
 
     return position, heading, speed_kmh, timestamp
 
@@ -255,7 +252,7 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
     radius = stopping_distance(cp.speed, cfg)
     nearest_d: Optional[float] = None
     nearest_sep: Optional[float] = None
-    for hit in hotspot_map.index.within_radius(cp.position, radius):
+    for hit in hotspot_map.index.iter_within(cp.position, radius):
         node = hotspot_map.nodes[hit.node_index]
         if node.count < cfg.min_count:
             continue
@@ -265,7 +262,7 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
             sep = angular_separation(cp.heading, initial_bearing(cp.position, node.position))
             if sep > cfg.heading_threshold:
                 continue
-        # Hits arrive sorted by distance, so the first survivor is the nearest.
+        # Hits arrive in (distance, index) order, so the first survivor is the nearest.
         nearest_d = hit.distance
         nearest_sep = sep
         break

@@ -8,6 +8,12 @@ satisfies the triangle inequality on the sphere, the standard lower bound
 
 prunes exactly, so queries return the same distances as a linear scan.
 
+All queries share one best-first traversal (Hjaltason & Samet 1999). A heap
+holds balls keyed by lower bound and points keyed by exact distance; nothing
+keyed above the radius is pushed. Balls pop before points at an equal key and
+points tie in index order, so hits come lazily in ``(distance, node_index)``
+order and a caller may stop at the first one it wants.
+
 Construction splits a node by the farthest-point-pair heuristic: take the
 node's first point, find its farthest point A, find A's farthest point B, and
 partition by proximity to A versus B. Seeding with the first point (rather
@@ -16,11 +22,19 @@ than a random one) keeps construction deterministic for a given input order.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from heapq import heappop, heappush
+from math import inf
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geodesy import GeoPoint, haversine_distance
 
 DEFAULT_LEAF_SIZE = 16
+
+# Rounding can put a computed ball bound above the computed distance of a point
+# in the ball (say, duplicates whose mean center is an ulp off). Lowering bounds
+# by this fraction of (center distance + radius), 1 cm at 10,000 km, keeps the
+# heap order exact everywhere but within meters of a point's antipode.
+_BOUND_SLACK = 1e-9
 
 
 class NeighborResult(NamedTuple):
@@ -105,64 +119,51 @@ class BallTree:
             stack.append((ball.right, right_idx))
         return root
 
+    def iter_within(self, query: GeoPoint, radius_m: float) -> Iterator[NeighborResult]:
+        """Lazily yield the points within ``radius_m`` meters in ``(distance, node_index)`` order.
+
+        A negative radius raises here, not at the first ``next()``; a NaN radius yields nothing.
+        """
+        if radius_m < 0:
+            raise ValueError("radius must be >= 0")
+        return self._browse(query, radius_m)
+
+    def _browse(self, query: GeoPoint, radius_m: float) -> Iterator[NeighborResult]:
+        # Heap entries are (key, kind, tiebreak, ball), kind 0 for a ball and 1
+        # for a point; ``<=`` tests keep a NaN radius from admitting anything.
+        if self._root is None:
+            return
+        pts = self._points
+        # The root needs no bound of its own: its children are bounded when it pops.
+        heap: list[tuple[float, int, int, Optional[_Ball]]] = [(-inf, 0, 0, self._root)]
+        seq = 0
+        while heap:
+            key, kind, i, ball = heappop(heap)
+            if kind:
+                yield NeighborResult(i, key)
+            elif ball.indices is None:
+                for child in (ball.left, ball.right):
+                    d = haversine_distance(query, child.center)
+                    lb = d - child.radius - _BOUND_SLACK * (d + child.radius)
+                    if lb <= radius_m:
+                        seq += 1
+                        heappush(heap, (lb, 0, seq, child))
+            else:
+                for i in ball.indices:
+                    d = haversine_distance(query, pts[i])
+                    if d <= radius_m:
+                        heappush(heap, (d, 1, i, None))
+
     def nearest(self, query: GeoPoint) -> Optional[NeighborResult]:
         """The indexed point minimizing haversine distance to ``query``.
 
         Ties break toward the lowest point index; returns None on an empty tree.
         """
-        if self._root is None:
-            return None
-        pts = self._points
-        best_dist = float("inf")
-        best_idx = -1
-        root_lb = haversine_distance(query, self._root.center) - self._root.radius
-        stack: list[tuple[float, _Ball]] = [(root_lb, self._root)]
-        while stack:
-            lb, ball = stack.pop()
-            if lb > best_dist:
-                continue
-            if ball.indices is not None:
-                for i in ball.indices:
-                    d = haversine_distance(query, pts[i])
-                    if d < best_dist or (d == best_dist and i < best_idx):
-                        best_dist = d
-                        best_idx = i
-            else:
-                left, right = ball.left, ball.right
-                lb_left = haversine_distance(query, left.center) - left.radius
-                lb_right = haversine_distance(query, right.center) - right.radius
-                # Push the farther child first so the nearer one is explored next.
-                if lb_left <= lb_right:
-                    stack.append((lb_right, right))
-                    stack.append((lb_left, left))
-                else:
-                    stack.append((lb_left, left))
-                    stack.append((lb_right, right))
-        return NeighborResult(best_idx, best_dist)
+        return next(self.iter_within(query, inf), None)
 
     def within_radius(self, query: GeoPoint, radius_m: float) -> list[NeighborResult]:
-        """All indexed points within ``radius_m`` meters, sorted by ascending distance."""
-        if radius_m < 0:
-            raise ValueError("radius must be >= 0")
-        if self._root is None:
-            return []
-        pts = self._points
-        hits: list[NeighborResult] = []
-        stack = [self._root]
-        while stack:
-            ball = stack.pop()
-            if haversine_distance(query, ball.center) - ball.radius > radius_m:
-                continue
-            if ball.indices is not None:
-                for i in ball.indices:
-                    d = haversine_distance(query, pts[i])
-                    if d <= radius_m:
-                        hits.append(NeighborResult(i, d))
-            else:
-                stack.append(ball.left)
-                stack.append(ball.right)
-        hits.sort(key=lambda r: (r.distance, r.node_index))
-        return hits
+        """All indexed points within ``radius_m`` meters, sorted by ``(distance, node_index)``."""
+        return list(self.iter_within(query, radius_m))
 
 
 def build_index(points: Sequence[GeoPoint], leaf_size: int = DEFAULT_LEAF_SIZE) -> BallTree:

@@ -1,12 +1,18 @@
 import io
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import map_of, make_node, northbound_trace, offset, random_scenario
+from pedmap import spatial_index
 from pedmap.advisory import (
+    COINCIDENT_M,
     AdvisoryConfig,
+    AdvisoryDecision,
+    Checkpoint,
     DriveTrace,
     TraceFix,
     checkpoints,
@@ -19,7 +25,7 @@ from pedmap.advisory import (
     trace_arc_length,
     with_sampling_distance,
 )
-from pedmap.geodesy import GeoPoint
+from pedmap.geodesy import GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
 from pedmap.ingest import HotspotMap, ParseError
 
 
@@ -46,6 +52,14 @@ class TestAdvisoryConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AdvisoryConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name", ["reaction_time", "friction", "grade", "safety_factor", "sampling_distance", "heading_threshold"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AdvisoryConfig(**{name: value})
 
 
 class TestStoppingDistance:
@@ -271,6 +285,79 @@ class TestEvaluateCheckpoint:
                     assert d.nearest_front_heading_sep <= cfg.heading_threshold
                 else:
                     assert d.nearest_front_distance is None
+
+
+def decide_by_scan(cp, hotspot_map, cfg):
+    """The advisory rule over every node, nearest by (distance, index); no index."""
+    radius = stopping_distance(cp.speed, cfg)
+    best = None
+    for i, node in enumerate(hotspot_map.nodes):
+        d = haversine_distance(cp.position, node.position)
+        if node.count < cfg.min_count or d > radius:
+            continue
+        sep = 0.0 if d < COINCIDENT_M else angular_separation(cp.heading, initial_bearing(cp.position, node.position))
+        if sep <= cfg.heading_threshold and (best is None or (d, i) < best[0]):
+            best = ((d, i), sep)
+    if best is None:
+        return AdvisoryDecision(cp, False, radius)
+    return AdvisoryDecision(cp, True, radius, best[0][0], best[1])
+
+
+_ORIGIN = GeoPoint(32.8, -117.3)
+# Nodes within ~70 m of the checkpoint, some repeated and some on top of it.
+_node_offsets = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(st.floats(-70, 70), st.floats(-70, 70)),
+)
+
+
+class TestEvaluateCheckpointOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        offsets=st.lists(st.tuples(_node_offsets, st.integers(1, 4)), max_size=60),
+        repeats=st.lists(st.integers(0, 59), max_size=20),
+        heading=st.floats(0, 360, exclude_max=True),
+        speed=st.floats(0, 120),
+        min_count=st.integers(1, 4),
+        heading_threshold=st.floats(0, 180, exclude_min=True),
+        leaf_size=st.integers(1, 8),
+    )
+    def test_matches_linear_scan(self, offsets, repeats, heading, speed, min_count, heading_threshold, leaf_size):
+        nodes = [make_node(offset(_ORIGIN, north_m=n, east_m=e), count) for (n, e), count in offsets]
+        nodes += [nodes[r] for r in repeats if r < len(nodes)]
+        hotspot_map = HotspotMap(nodes)
+        hotspot_map.build_spatial_index(leaf_size=leaf_size)
+        cfg = AdvisoryConfig(min_count=min_count, heading_threshold=heading_threshold)
+        cp = Checkpoint(0.0, _ORIGIN, Heading(heading), speed, 0)
+        assert evaluate_checkpoint(cp, hotspot_map, cfg) == decide_by_scan(cp, hotspot_map, cfg)
+
+
+class TestDecisionCost:
+    def test_decision_stops_before_full_radius_search(self, monkeypatch):
+        # A dense map: every node is inside the 48.8 m radius and in front.
+        rng = random.Random(5)
+        nodes = [
+            make_node(offset(_ORIGIN, north_m=rng.uniform(1, 45), east_m=rng.uniform(-15, 15)))
+            for _ in range(2000)
+        ]
+        hotspot_map = HotspotMap(nodes)
+        tree = hotspot_map.index
+        cfg = AdvisoryConfig()
+        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0, 0)
+
+        calls = 0
+        real = haversine_distance
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(spatial_index, "haversine_distance", counting)
+        assert evaluate_checkpoint(cp, hotspot_map, cfg).active
+        decision_calls, calls = calls, 0
+        assert len(tree.within_radius(cp.position, stopping_distance(cp.speed, cfg))) == 2000
+        assert decision_calls < calls / 10, f"{decision_calls} vs {calls} haversine evals"
 
 
 class TestRunReplay:

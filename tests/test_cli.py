@@ -112,6 +112,22 @@ class TestReplay:
         assert result.exit_code != 0
         assert "braking denominator" in result.output
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--reaction-time", "nan", "reaction_time"),
+            ("--sampling-distance", "nan", "sampling_distance"),
+            ("--safety-factor", "inf", "safety_factor"),
+        ],
+    )
+    def test_non_finite_config_rejected(self, runner, scenario_files, flag, value, name):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        result = runner.invoke(main, ["replay", str(map_file), str(scenario_files / "drive.csv"), flag, value])
+        assert result.exit_code == 1
+        assert f"Error: {name} must be finite" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_output_file(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         out = scenario_files / "timeline.jsonl"

@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pedmap import spatial_index
 from pedmap.geodesy import GeoPoint, haversine_distance
@@ -132,6 +134,17 @@ class TestWithinRadius:
         with pytest.raises(ValueError):
             build_index([GeoPoint(0, 0)]).within_radius(GeoPoint(0, 0), -1.0)
 
+    @pytest.mark.parametrize("points", [[], [GeoPoint(0, 0)]])
+    def test_negative_radius_rejected_at_call(self, points):
+        # Raised by iter_within itself, before the iterator is ever advanced.
+        with pytest.raises(ValueError, match="radius"):
+            build_index(points).iter_within(GeoPoint(0, 0), -1.0)
+
+    def test_nan_radius_finds_nothing(self):
+        tree = build_index([GeoPoint(0, 0), GeoPoint(0, 0.001)])
+        assert list(tree.iter_within(GeoPoint(0, 0), math.nan)) == []
+        assert tree.within_radius(GeoPoint(0, 0), math.nan) == []
+
     def test_set_equality_with_brute_force(self):
         rng = random.Random(123)
         for n in [1, 10, 64, 500]:
@@ -145,6 +158,59 @@ class TestWithinRadius:
                 assert {h.node_index for h in hits} == expected
                 distances = [h.distance for h in hits]
                 assert distances == sorted(distances)
+
+
+# A few distinct sites a few hundred meters apart, drawn with repetition so
+# that exact duplicates (equal distances to every query) are common.
+_sites = st.builds(
+    GeoPoint,
+    st.floats(32.8, 32.805, allow_nan=False),
+    st.floats(-117.3, -117.295, allow_nan=False),
+)
+
+
+@st.composite
+def _tree_and_query(draw):
+    pool = draw(st.lists(_sites, min_size=1, max_size=8))
+    points = draw(st.lists(st.sampled_from(pool), max_size=120))
+    # Far-away queries, listed twice to draw them more often, are where
+    # rounding in the ball bounds could break ties.
+    query = draw(
+        st.one_of(
+            st.sampled_from(pool),
+            _sites,
+            st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180, exclude_max=True)),
+            st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180, exclude_max=True)),
+        )
+    )
+    leaf_size = draw(st.integers(1, 8))
+    return points, build_index(points, leaf_size=leaf_size), query
+
+
+class TestBestFirstOracle:
+    def test_far_query_over_duplicates_keeps_index_order(self):
+        # The ball centers, means of equal coordinates, sit an ulp off the
+        # points; bounds taken without rounding slack yield 9-12 before 4-8.
+        pts = [GeoPoint(32.8046875, -117.29566060857631)] * 18
+        hits = build_index(pts, leaf_size=4).iter_within(GeoPoint(0, -166), math.inf)
+        assert [h.node_index for h in hits] == list(range(18))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_and_query(), st.one_of(st.just(0.0), st.just(math.inf), st.floats(0, 1000)))
+    def test_iter_within_matches_sorted_scan(self, case, radius):
+        points, tree, query = case
+        scan = sorted(
+            (haversine_distance(query, p), i)
+            for i, p in enumerate(points)
+            if haversine_distance(query, p) <= radius
+        )
+        assert [(h.distance, h.node_index) for h in tree.iter_within(query, radius)] == scan
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_and_query())
+    def test_nearest_matches_brute_force(self, case):
+        points, tree, query = case
+        assert tree.nearest(query) == nearest_brute_force(points, query)
 
 
 class TestQueryCost:
