@@ -2,23 +2,22 @@
 meters, whether the driver should be warned.
 
 A checkpoint is an interpolated along-track sample of the drive carrying
-position, heading, and speed. At each checkpoint the stopping distance for the
-current speed defines a search radius; the advisory is active when any hotspot
-node with enough sightings lies inside that radius ahead of the vehicle
-(heading separation at most the configured threshold, 90 degrees by default).
+position, heading, and speed, taken in one forward pass over the trace; a stop
+keeps the heading of the move before it (or after it, if the drive begins
+parked). At each checkpoint the stopping distance for the current speed
+defines a search radius; the advisory is active when any hotspot node with
+enough sightings lies inside that radius ahead of the vehicle (heading
+separation at most the configured threshold, 90 degrees by default).
 The advisory is preemptive: it comes on before the hotspot and drops as soon
 as every in-radius node has fallen behind.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from io import TextIOWrapper
 from math import isfinite
-from typing import IO, Iterable, Iterator, Literal, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Literal, Optional, Union
 
 from .geodesy import (
     GeoPoint,
@@ -29,7 +28,7 @@ from .geodesy import (
     initial_bearing,
     interpolate_along,
 )
-from .ingest import HotspotMap, ParseError, _parse_int, _parse_latlon
+from .ingest import HotspotMap, _read_rows
 
 TRACE_HEADER = ["timestamp", "latitude", "longitude", "clip_id"]
 
@@ -160,11 +159,9 @@ def stopping_distance(speed_kmh: float, cfg: AdvisoryConfig) -> float:
     """
     if speed_kmh < 0:
         raise ValueError("speed must be >= 0")
-    denom = cfg.friction + cfg.grade
-    if denom <= 0:
-        raise ValueError("non-positive braking denominator (friction + grade)")
+    # AdvisoryConfig guarantees friction + grade > 0.
     return cfg.safety_factor * (
-        0.278 * cfg.reaction_time * speed_kmh + speed_kmh**2 / (254.0 * denom)
+        0.278 * cfg.reaction_time * speed_kmh + speed_kmh**2 / (254.0 * (cfg.friction + cfg.grade))
     )
 
 
@@ -178,38 +175,45 @@ def _cumulative_arcs(trace: DriveTrace) -> list[float]:
     return arcs
 
 
-def _kinematics_at(trace: DriveTrace, arcs: list[float], arc_position: float) -> tuple[GeoPoint, Heading, float, int]:
-    total = arcs[-1]
-    if arc_position < 0 or arc_position > total + 1e-9:
-        raise ValueError(f"arc position {arc_position} outside trace [0, {total}]")
-    # An arc landing exactly on a fix boundary belongs to the segment starting
-    # there, zero-length (stationary) segments included.
-    i = bisect_left(arcs, arc_position)
-    seg = i if i < len(arcs) and arcs[i] == arc_position else i - 1
-    seg = min(max(seg, 0), len(arcs) - 2)
-    a, b = trace.fixes[seg], trace.fixes[seg + 1]
-    seg_len = arcs[seg + 1] - arcs[seg]
-    frac = min((arc_position - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0
-    position = interpolate_along(a.position, b.position, frac)
-    timestamp = round(a.timestamp_ms + frac * (b.timestamp_ms - a.timestamp_ms))
-
-    # A zero-length segment has no bearing of its own; carry the previous one.
-    j = seg
-    while j >= 0 and coincident(trace.fixes[j].position, trace.fixes[j + 1].position):
-        j -= 1
-    if j < 0:
-        raise ValueError("degenerate trace: no segment with a defined heading")
-    heading = initial_bearing(trace.fixes[j].position, trace.fixes[j + 1].position)
-
-    duration_s = (b.timestamp_ms - a.timestamp_ms) / 1000.0
-    speed_kmh = seg_len / duration_s * KMH_PER_MPS
-
-    return position, heading, speed_kmh, timestamp
+def _sample(
+    trace: DriveTrace, grid: Callable[[float], Iterable[float]]
+) -> Iterator[tuple[float, GeoPoint, Heading, float, int]]:
+    """Arc, position, heading, speed (km/h) and timestamp at each of the ascending
+    arcs ``grid(total_length)``, in one forward walk over the segments. An arc
+    exactly on a fix belongs to the segment starting there, stationary included."""
+    fixes = trace.fixes
+    arcs = _cumulative_arcs(trace)
+    total, last = arcs[-1], len(arcs) - 2
+    seg = 0
+    scanned = 0  # segments [0, scanned) have been checked for motion
+    moving = -1  # latest moving segment at or before seg, else the first one
+    heading_of = -1  # the segment ``heading`` was last computed from
+    for arc in grid(total):
+        if arc < 0 or arc > total + 1e-9:
+            raise ValueError(f"arc position {arc} outside trace [0, {total}]")
+        while seg < last and arcs[seg] < arc and arcs[seg + 1] <= arc:
+            seg += 1
+        while scanned <= seg or moving < 0:
+            if scanned > last:
+                raise ValueError("degenerate trace: no segment with a defined heading")
+            if not coincident(fixes[scanned].position, fixes[scanned + 1].position):
+                moving = scanned
+            scanned += 1
+        if heading_of != moving:
+            heading = initial_bearing(fixes[moving].position, fixes[moving + 1].position)
+            heading_of = moving
+        a, b = fixes[seg], fixes[seg + 1]
+        seg_len = arcs[seg + 1] - arcs[seg]
+        frac = min((arc - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0
+        position = interpolate_along(a.position, b.position, frac)
+        timestamp = round(a.timestamp_ms + frac * (b.timestamp_ms - a.timestamp_ms))
+        speed_kmh = seg_len / ((b.timestamp_ms - a.timestamp_ms) / 1000.0) * KMH_PER_MPS
+        yield arc, position, heading, speed_kmh, timestamp
 
 
 def estimate_kinematics(trace: DriveTrace, arc_position: float) -> tuple[GeoPoint, Heading, float]:
     """Position, heading, and speed (km/h) at an along-track arc position."""
-    position, heading, speed, _ = _kinematics_at(trace, _cumulative_arcs(trace), arc_position)
+    ((_, position, heading, speed, _),) = _sample(trace, lambda total: (arc_position,))
     return position, heading, speed
 
 
@@ -228,15 +232,11 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
         raise ValueError("sampling_distance must be > 0")
     if len(trace.fixes) < 2:
         raise ValueError("trace needs at least 2 fixes")
-    arcs = _cumulative_arcs(trace)
-    total = arcs[-1]
-    count = int(total / sampling_distance + 1e-9) + 1
-    result = []
-    for i in range(count):
-        arc = i * sampling_distance
-        position, heading, speed, ts = _kinematics_at(trace, arcs, arc)
-        result.append(Checkpoint(arc, position, heading, speed, ts))
-    return result
+
+    def grid(total: float) -> Iterable[float]:
+        return (i * sampling_distance for i in range(int(total / sampling_distance + 1e-9) + 1))
+
+    return [Checkpoint(*sample) for sample in _sample(trace, grid)]
 
 
 # --- advisory decision ------------------------------------------------------
@@ -287,26 +287,11 @@ def with_sampling_distance(cfg: AdvisoryConfig, sampling_distance: float) -> Adv
 def parse_trace_csv(source: Union[IO[bytes], IO[str], Iterable[str]]) -> list[DriveTrace]:
     """Parse a test-drive CSV into one trace per clip, ordered by clip id.
 
-    The header must be exactly ``timestamp,latitude,longitude,clip_id``.
+    The header must be exactly ``timestamp,latitude,longitude,clip_id``; rows
+    are checked as in ``ingest.parse_detection_log``.
     """
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
-        source = TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing header row", 1) from None
-    if header != TRACE_HEADER:
-        raise ParseError(f"bad header {header!r}, expected {TRACE_HEADER!r}", 1)
     by_clip: dict[str, list[TraceFix]] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line)
-        ts = _parse_int(row[0], "timestamp", line)
-        position = _parse_latlon(row[1], row[2], line)
+    for _, ts, position, row in _read_rows(source, TRACE_HEADER):
         by_clip.setdefault(row[3], []).append(TraceFix(ts, position))
     traces = []
     for clip_id in sorted(by_clip):

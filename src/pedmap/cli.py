@@ -9,52 +9,43 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import NoReturn, Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import click
 
 from . import advisory, evaluation, ingest
 
 
-def _fail(message: str) -> NoReturn:
-    raise click.ClickException(message)
+@contextmanager
+def _failing(path: Optional[str] = None) -> Iterator[None]:
+    """The CLI's one error boundary: bad input (``ValueError``) or a file error (``OSError``)
+    ends the command with a one-line message, prefixed with ``path`` when given."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _load_map(path: str) -> ingest.HotspotMap:
-    try:
+    with _failing(path):
         return ingest.load_map(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        _fail(f"{path}: {exc}")
-
-
-def _parse_training_csv(path: str) -> list[ingest.DetectionRecord]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            return ingest.parse_detection_log(f)
-    except ingest.ParseError as exc:
-        _fail(f"{path}: {exc}")
-    except OSError as exc:
-        _fail(str(exc))
 
 
 def _load_trace(path: str, clip: Optional[str]) -> advisory.DriveTrace:
-    try:
+    with _failing(path):
         with open(path, "r", encoding="utf-8", newline="") as f:
             traces = advisory.parse_trace_csv(f)
-    except (ingest.ParseError, ValueError) as exc:
-        _fail(f"{path}: {exc}")
-    except OSError as exc:
-        _fail(str(exc))
-    if not traces:
-        _fail(f"{path}: no fixes found")
-    if clip is not None:
-        for t in traces:
-            if t.clip_id == clip:
-                return t
-        _fail(f"{path}: no clip {clip!r} (has {[t.clip_id for t in traces]})")
-    if len(traces) > 1:
-        _fail(f"{path}: multiple clips {[t.clip_id for t in traces]}; pick one with --clip")
-    return traces[0]
+        if not traces:
+            raise ValueError("no fixes found")
+        if clip is not None:
+            for t in traces:
+                if t.clip_id == clip:
+                    return t
+            raise ValueError(f"no clip {clip!r} (has {[t.clip_id for t in traces]})")
+        if len(traces) > 1:
+            raise ValueError(f"multiple clips {[t.clip_id for t in traces]}; pick one with --clip")
+        return traces[0]
 
 
 def config_options(command):
@@ -74,13 +65,6 @@ def config_options(command):
     return command
 
 
-def _build_config(**kwargs) -> advisory.AdvisoryConfig:
-    try:
-        return advisory.AdvisoryConfig(**kwargs)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
 @click.group()
 @click.version_option(package_name="pedmap")
 def main() -> None:
@@ -93,11 +77,13 @@ def main() -> None:
 @click.option("--count-mode", type=click.Choice(["max", "sum"]), default="max", show_default=True, help="Per-interval pedestrian count aggregation.")
 def build(training_csv: tuple[str, ...], out_map: str, count_mode: str) -> None:
     """Build a hotspot map from one or more training drive CSVs."""
-    hotspot_map = ingest.HotspotMap()
+    maps = []
     for path in training_csv:
-        records = _parse_training_csv(path)
-        hotspot_map = ingest.merge_maps(hotspot_map, ingest.build_map(records, count_mode))
-    ingest.save_map(hotspot_map, out_map)
+        with _failing(path), open(path, "r", encoding="utf-8", newline="") as f:
+            maps.append(ingest.build_map(ingest.parse_detection_log(f), count_mode))
+    hotspot_map = ingest.merge_maps(*maps)
+    with _failing():
+        ingest.save_map(hotspot_map, out_map)
     click.echo(f"{len(hotspot_map)} nodes -> {out_map}")
 
 
@@ -106,10 +92,9 @@ def build(training_csv: tuple[str, ...], out_map: str, count_mode: str) -> None:
 @click.option("-o", "--out-map", required=True, type=click.Path(dir_okay=False), help="Output map JSON path.")
 def merge(maps: tuple[str, ...], out_map: str) -> None:
     """Merge hotspot maps into one (plain node union, no deduplication)."""
-    merged = ingest.HotspotMap()
-    for path in maps:
-        merged = ingest.merge_maps(merged, _load_map(path))
-    ingest.save_map(merged, out_map)
+    merged = ingest.merge_maps(*(_load_map(path) for path in maps))
+    with _failing():
+        ingest.save_map(merged, out_map)
     click.echo(f"{len(merged)} nodes -> {out_map}")
 
 
@@ -121,16 +106,13 @@ def merge(maps: tuple[str, ...], out_map: str) -> None:
 @config_options
 def replay(map_file: str, trace_csv: str, out_path: Optional[str], clip: Optional[str], **cfg_kwargs) -> None:
     """Replay a test drive against a map and emit the advisory timeline as JSONL."""
-    cfg = _build_config(**cfg_kwargs)
-    hotspot_map = _load_map(map_file)
-    trace = _load_trace(trace_csv, clip)
-    try:
-        timeline = advisory.run_replay(trace, hotspot_map, cfg)
-    except ValueError as exc:
-        _fail(str(exc))
+    with _failing():
+        cfg = advisory.AdvisoryConfig(**cfg_kwargs)
+        hotspot_map = _load_map(map_file)
+        timeline = advisory.run_replay(_load_trace(trace_csv, clip), hotspot_map, cfg)
     lines = "".join(line + "\n" for line in advisory.timeline_to_jsonl(timeline))
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
+        with _failing(), open(out_path, "w", encoding="utf-8") as f:
             f.write(lines)
         on_count = sum(1 for t in timeline.transitions if t.kind == "ON")
         click.echo(f"{len(timeline.decisions)} checkpoints, {on_count} advisories -> {out_path}")
@@ -139,17 +121,13 @@ def replay(map_file: str, trace_csv: str, out_path: Optional[str], clip: Optiona
 
 
 def _windows_for_trace(gt_path: str, trace: advisory.DriveTrace) -> list[evaluation.GroundTruthWindow]:
-    try:
+    with _failing(gt_path):
         with open(gt_path, "r", encoding="utf-8") as f:
             windows = evaluation.load_ground_truth(f)
-    except (ValueError, KeyError) as exc:
-        _fail(f"{gt_path}: {exc}")
-    except OSError as exc:
-        _fail(str(exc))
-    matching = [w for w in windows if w.clip_id == trace.clip_id]
-    if not matching:
-        _fail(f"{gt_path}: no ground-truth windows for clip {trace.clip_id!r}")
-    return matching
+        matching = [w for w in windows if w.clip_id == trace.clip_id]
+        if not matching:
+            raise ValueError(f"no ground-truth windows for clip {trace.clip_id!r}")
+        return matching
 
 
 def _emit_report(report: evaluation.EvalReport, markdown: bool) -> None:
@@ -166,14 +144,12 @@ def _emit_report(report: evaluation.EvalReport, markdown: bool) -> None:
 @config_options
 def eval_cmd(map_file: str, trace_csv: str, ground_truth: str, clip: Optional[str], markdown: bool, **cfg_kwargs) -> None:
     """Score one replay against ground-truth windows at a single sampling distance."""
-    cfg = _build_config(**cfg_kwargs)
-    hotspot_map = _load_map(map_file)
-    trace = _load_trace(trace_csv, clip)
-    windows = _windows_for_trace(ground_truth, trace)
-    try:
+    with _failing():
+        cfg = advisory.AdvisoryConfig(**cfg_kwargs)
+        hotspot_map = _load_map(map_file)
+        trace = _load_trace(trace_csv, clip)
+        windows = _windows_for_trace(ground_truth, trace)
         report = evaluation.sweep_sampling_distance(trace, hotspot_map, cfg, [cfg.sampling_distance], windows)
-    except ValueError as exc:
-        _fail(str(exc))
     _emit_report(report, markdown)
 
 
@@ -187,20 +163,18 @@ def eval_cmd(map_file: str, trace_csv: str, ground_truth: str, clip: Optional[st
 @config_options
 def sweep(map_file: str, trace_csv: str, ground_truth: str, ks: str, clip: Optional[str], markdown: bool, **cfg_kwargs) -> None:
     """Score replays across a list of sampling distances."""
-    cfg = _build_config(**cfg_kwargs)
-    try:
-        k_values = [float(part) for part in ks.split(",") if part.strip()]
-    except ValueError:
-        _fail(f"bad --ks value {ks!r}")
-    if not k_values or any(k <= 0 for k in k_values):
-        _fail("--ks needs positive sampling distances")
-    hotspot_map = _load_map(map_file)
-    trace = _load_trace(trace_csv, clip)
-    windows = _windows_for_trace(ground_truth, trace)
-    try:
+    with _failing():
+        cfg = advisory.AdvisoryConfig(**cfg_kwargs)
+        try:
+            k_values = [float(part) for part in ks.split(",") if part.strip()]
+        except ValueError:
+            raise ValueError(f"bad --ks value {ks!r}") from None
+        if not k_values or any(k <= 0 for k in k_values):
+            raise ValueError("--ks needs positive sampling distances")
+        hotspot_map = _load_map(map_file)
+        trace = _load_trace(trace_csv, clip)
+        windows = _windows_for_trace(ground_truth, trace)
         report = evaluation.sweep_sampling_distance(trace, hotspot_map, cfg, k_values, windows)
-    except ValueError as exc:
-        _fail(str(exc))
     _emit_report(report, markdown)
 
 
@@ -212,7 +186,7 @@ def export(map_file: str, out_path: Optional[str]) -> None:
     hotspot_map = _load_map(map_file)
     text = json.dumps(ingest.map_to_geojson(hotspot_map), indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
+        with _failing(), open(out_path, "w", encoding="utf-8") as f:
             f.write(text)
         click.echo(f"{len(hotspot_map)} features -> {out_path}")
     else:

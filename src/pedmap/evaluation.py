@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import inf
 from typing import IO, Optional, Sequence, Union
 
 from .advisory import AdvisoryConfig, AdvisoryTimeline, DriveTrace, run_replay, with_sampling_distance
@@ -32,8 +33,8 @@ class GroundTruthWindow:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start_m < self.end_m:
-            raise ValueError(f"window requires 0 <= start_m < end_m, got [{self.start_m}, {self.end_m}]")
+        if not 0 <= self.start_m < self.end_m < inf:
+            raise ValueError(f"window requires 0 <= start_m < end_m < inf, got [{self.start_m}, {self.end_m}]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,20 +145,33 @@ def sweep_sampling_distance(
 def load_ground_truth(source: Union[IO[str], IO[bytes], str]) -> list[GroundTruthWindow]:
     """Read ground-truth windows from a JSON array, sorted by (clip_id, start_m).
 
-    Windows within one clip must not overlap.
+    Windows within one clip must not overlap; ``_window`` gives the entry schema.
     """
     data = json.load(source) if hasattr(source, "read") else json.loads(source)
     if not isinstance(data, list):
         raise ValueError("ground truth must be a JSON array")
-    windows = [
-        GroundTruthWindow(w["clip_id"], float(w["start_m"]), float(w["end_m"]), w.get("label", ""))
-        for w in data
-    ]
+    windows = [_window(i, w) for i, w in enumerate(data)]
     windows.sort(key=lambda w: (w.clip_id, w.start_m))
     for a, b in zip(windows, windows[1:]):
         if a.clip_id == b.clip_id and b.start_m < a.end_m:
             raise ValueError(f"overlapping windows in clip {a.clip_id!r} at {b.start_m}")
     return windows
+
+
+def _window(i: int, entry: object) -> GroundTruthWindow:
+    """One window from a decoded JSON object with a string ``clip_id``, numeric
+    ``start_m`` and ``end_m`` and an optional string ``label``."""
+    try:
+        if not isinstance(entry, dict):
+            raise ValueError("expected an object")
+        clip_id, label, start, end = entry.get("clip_id"), entry.get("label", ""), entry.get("start_m"), entry.get("end_m")
+        if not (isinstance(clip_id, str) and isinstance(label, str)):
+            raise ValueError(f"clip_id and label must be strings, got {clip_id!r}, {label!r}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (start, end)):
+            raise ValueError(f"start_m and end_m must be numbers, got {start!r}, {end!r}")
+        return GroundTruthWindow(clip_id, float(start), float(end), label)
+    except (ValueError, OverflowError) as exc:  # float() overflows on integers beyond float range
+        raise ValueError(f"ground-truth entry {i}: {exc}") from None
 
 
 def _fmt_metric(value: Optional[float]) -> str:

@@ -1,9 +1,10 @@
 """Drive-log ingestion: CSV parsing, 1-second interval aggregation, and map assembly.
 
 A training drive log is a CSV of per-frame pedestrian detections tagged with the
-ego vehicle's GPS fix. Records are grouped per clip into fixed wall-clock
-1-second bins; each bin with at least one detected pedestrian becomes a hotspot
-node at the median vehicle position. Maps from separate drives or vehicles are
+ego vehicle's GPS fix, read by ``_read_rows``, the one CSV reader (test-drive
+CSVs included). Records are grouped per clip into fixed wall-clock 1-second
+bins; each bin with at least one detected pedestrian becomes a hotspot node at
+the median vehicle position. Maps from separate drives or vehicles are
 merged by plain node-list concatenation: repeated sightings of the same spot are
 the signal, so nothing is deduplicated.
 """
@@ -15,7 +16,9 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from io import TextIOWrapper
-from typing import IO, Iterable, Literal, Optional, Union
+from itertools import chain
+from math import isfinite
+from typing import IO, Iterable, Iterator, Literal, Optional, Union
 
 from .geodesy import GeoPoint
 from .spatial_index import DEFAULT_LEAF_SIZE, BallTree
@@ -100,30 +103,47 @@ class HotspotMap:
         return len(self.nodes)
 
 
-def _open_text(source: Union[IO[bytes], IO[str], Iterable[str]]) -> Iterable[str]:
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
-        return TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
-    return source  # already text
-
-
-def _parse_latlon(lat_text: str, lon_text: str, line: int) -> GeoPoint:
-    try:
-        lat = float(lat_text)
-        lon = float(lon_text)
-    except ValueError:
-        raise ParseError(f"non-numeric coordinate {lat_text!r},{lon_text!r}", line) from None
-    if not -90.0 <= lat <= 90.0:
-        raise ParseError(f"latitude {lat} outside [-90, 90]", line)
-    if not -180.0 <= lon <= 180.0:
-        raise ParseError(f"longitude {lon} outside [-180, 180]", line)
-    return GeoPoint(lat, lon)
-
-
 def _parse_int(text: str, what: str, line: int) -> int:
     try:
         return int(text)
     except ValueError:
         raise ParseError(f"non-integer {what} {text!r}", line) from None
+
+
+def _read_rows(
+    source: Union[IO[bytes], IO[str], Iterable[str]], header: list[str]
+) -> Iterator[tuple[int, int, GeoPoint, list[str]]]:
+    """Yield ``(line, timestamp_ms, position, row)`` per non-blank row of a CSV (bytes
+    are read as UTF-8) whose header is exactly ``header``, starting with
+    ``timestamp,latitude,longitude``. Raises ParseError naming the bad line."""
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
+        source = TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
+    reader = csv.reader(source)
+    width = len(header)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("missing header row", 1)
+        if first != header:
+            raise ParseError(f"bad header {first!r}, expected {header!r}", 1)
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line)
+            ts = _parse_int(row[0], "timestamp", line)
+            try:
+                lat, lon = float(row[1]), float(row[2])
+            except ValueError:
+                raise ParseError(f"non-numeric coordinate {row[1]!r},{row[2]!r}", line) from None
+            if not -90.0 <= lat <= 90.0:
+                raise ParseError(f"latitude {lat} outside [-90, 90]", line)
+            if not -180.0 <= lon <= 180.0:
+                raise ParseError(f"longitude {lon} outside [-180, 180]", line)
+            yield line, ts, GeoPoint(lat, lon), row
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
 
 
 def parse_detection_log(source: Union[IO[bytes], IO[str], Iterable[str]]) -> list[DetectionRecord]:
@@ -132,22 +152,8 @@ def parse_detection_log(source: Union[IO[bytes], IO[str], Iterable[str]]) -> lis
     The header must be exactly ``timestamp,latitude,longitude,pedestrian_count,clip_id``.
     Raises ParseError (with line number) on any malformed or out-of-range row.
     """
-    reader = csv.reader(_open_text(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing header row", 1) from None
-    if header != TRAINING_HEADER:
-        raise ParseError(f"bad header {header!r}, expected {TRAINING_HEADER!r}", 1)
     records = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", line)
-        ts = _parse_int(row[0], "timestamp", line)
-        position = _parse_latlon(row[1], row[2], line)
+    for line, ts, position, row in _read_rows(source, TRAINING_HEADER):
         count = _parse_int(row[3], "pedestrian_count", line)
         if count < 0:
             raise ParseError(f"negative pedestrian_count {count}", line)
@@ -218,9 +224,9 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
     return HotspotMap(nodes)
 
 
-def merge_maps(a: HotspotMap, b: HotspotMap) -> HotspotMap:
-    """Multiset union of two maps' nodes; the result's index is rebuilt lazily."""
-    return HotspotMap(a.nodes + b.nodes)
+def merge_maps(*maps: HotspotMap) -> HotspotMap:
+    """Multiset union of the maps' nodes, in argument order; the result's index is rebuilt lazily."""
+    return HotspotMap(list(chain.from_iterable(m.nodes for m in maps)))
 
 
 # --- serialization ---------------------------------------------------------
@@ -242,15 +248,33 @@ def map_to_dict(hotspot_map: HotspotMap) -> dict:
     }
 
 
-def map_from_dict(data: dict) -> HotspotMap:
+def _node(kind: str, i: int, fields: object) -> HotspotNode:
+    """A node from a decoded JSON object; errors name it as ``"<kind> <i>"``."""
+    try:
+        if not isinstance(fields, dict):
+            raise ValueError("expected an object")
+        lat, lon = fields.get("lat"), fields.get("lon")
+        count, timestamp_ms, clip_id = fields.get("count"), fields.get("timestamp_ms"), fields.get("clip_id")
+        if not (type(lat) in (int, float) and type(lon) in (int, float) and isfinite(lat) and isfinite(lon)):
+            raise ValueError(f"lat and lon must be finite numbers, got {lat!r}, {lon!r}")
+        if not (type(count) is int and type(timestamp_ms) is int and isinstance(clip_id, str)):
+            raise ValueError(f"count and timestamp_ms must be integers and clip_id a string, got {count!r}, {timestamp_ms!r}, {clip_id!r}")
+        return HotspotNode(GeoPoint(lat, lon), count, timestamp_ms, clip_id)
+    except (ValueError, OverflowError) as exc:  # isfinite overflows on integers beyond float range
+        raise ValueError(f"{kind} {i}: {exc}") from None
+
+
+def map_from_dict(data: object) -> HotspotMap:
+    """Rebuild a map from its decoded JSON form; raises ValueError on any schema breach."""
+    if not isinstance(data, dict):
+        raise ValueError("a map must be a JSON object")
     version = data.get("schema_version")
     if version != MAP_SCHEMA_VERSION:
         raise ValueError(f"unsupported map schema_version {version!r}")
-    nodes = [
-        HotspotNode(GeoPoint(n["lat"], n["lon"]), n["count"], n["timestamp_ms"], n["clip_id"])
-        for n in data["nodes"]
-    ]
-    return HotspotMap(nodes)
+    nodes = data.get("nodes")
+    if not isinstance(nodes, list):
+        raise ValueError("map nodes must be a list")
+    return HotspotMap([_node("node", i, n) for i, n in enumerate(nodes)])
 
 
 def save_map(hotspot_map: HotspotMap, path: str) -> None:
@@ -283,13 +307,15 @@ def map_to_geojson(hotspot_map: HotspotMap) -> dict:
     }
 
 
-def map_from_geojson(data: dict) -> HotspotMap:
+def map_from_geojson(data: object) -> HotspotMap:
     """Rebuild a map from its GeoJSON export (the inverse of ``map_to_geojson``)."""
-    if data.get("type") != "FeatureCollection":
+    if not (isinstance(data, dict) and data.get("type") == "FeatureCollection" and isinstance(data.get("features"), list)):
         raise ValueError("expected a GeoJSON FeatureCollection")
     nodes = []
-    for feature in data["features"]:
-        lon, lat = feature["geometry"]["coordinates"]
-        props = feature["properties"]
-        nodes.append(HotspotNode(GeoPoint(lat, lon), props["count"], props["timestamp_ms"], props["clip_id"]))
+    for i, feature in enumerate(data["features"]):
+        geometry = feature.get("geometry") if isinstance(feature, dict) else None
+        coords = geometry.get("coordinates") if isinstance(geometry, dict) else None
+        if not (isinstance(coords, list) and len(coords) == 2 and isinstance(feature.get("properties"), dict)):
+            raise ValueError(f"feature {i}: expected a Point with [lon, lat] coordinates and properties")
+        nodes.append(_node("feature", i, {**feature["properties"], "lon": coords[0], "lat": coords[1]}))
     return HotspotMap(nodes)

@@ -2,14 +2,16 @@ import io
 import json
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import map_of, make_node, northbound_trace, offset, random_scenario
-from pedmap import spatial_index
+from pedmap import advisory, spatial_index
 from pedmap.advisory import (
     COINCIDENT_M,
+    KMH_PER_MPS,
     AdvisoryConfig,
     AdvisoryDecision,
     Checkpoint,
@@ -25,7 +27,15 @@ from pedmap.advisory import (
     trace_arc_length,
     with_sampling_distance,
 )
-from pedmap.geodesy import GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
+from pedmap.geodesy import (
+    GeoPoint,
+    Heading,
+    angular_separation,
+    coincident,
+    haversine_distance,
+    initial_bearing,
+    interpolate_along,
+)
 from pedmap.ingest import HotspotMap, ParseError
 
 
@@ -148,6 +158,16 @@ class TestEstimateKinematics:
         with pytest.raises(ValueError, match="degenerate"):
             estimate_kinematics(trace, 0.0)
 
+    def test_parked_start_takes_first_moving_heading(self):
+        trace = parked_start_trace()
+        position, heading, speed = estimate_kinematics(trace, 0.0)
+        assert position == GeoPoint(0, 0)
+        assert heading == initial_bearing(GeoPoint(0, 0), GeoPoint(0.0001, 0))
+        assert speed == 0.0
+        _, heading, speed = estimate_kinematics(trace, 5.0)
+        assert heading.degrees == pytest.approx(0.0, abs=1e-9)
+        assert speed == pytest.approx(haversine_distance(GeoPoint(0, 0), GeoPoint(0.0001, 0)) * KMH_PER_MPS)
+
     def test_interpolated_position(self):
         trace = DriveTrace(
             (TraceFix(0, GeoPoint(0, 0)), TraceFix(1000, GeoPoint(0.0002, 0))), "c"
@@ -199,6 +219,14 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             checkpoints(self.make_trace(50), 0.0)
 
+    def test_parked_start(self):
+        trace = parked_start_trace()
+        cps = checkpoints(trace, 2.0)
+        north = initial_bearing(GeoPoint(0, 0), GeoPoint(0.0001, 0))
+        assert all(cp.heading == north for cp in cps)
+        assert (cps[0].position, cps[0].speed, cps[0].timestamp_ms) == (GeoPoint(0, 0), 0.0, 0)
+        assert all(cp.speed > 0 for cp in cps[1:])
+
     def test_nesting_on_random_traces(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -207,6 +235,116 @@ class TestCheckpoints:
             for m in (2, 3, 4):
                 coarse = {cp.arc_position for cp in checkpoints(scenario.trace, 2.0 * m)}
                 assert coarse <= base
+
+
+def parked_start_trace() -> DriveTrace:
+    """A drive that waits one second, then heads north at about 40 km/h."""
+    fixes = [(0, 0.0), (1000, 0.0), (2000, 0.0001), (3000, 0.0002)]
+    return DriveTrace(tuple(TraceFix(t, GeoPoint(lat, 0.0)) for t, lat in fixes), "c")
+
+
+def kinematics_by_bisect(trace, arcs, arc_position):
+    """Reference for the forward sampler: a bisect and a walk back per checkpoint.
+
+    Returns ``(position, heading, speed_kmh, timestamp_ms)`` at ``arc_position``.
+    A trace whose segments up to the arc are all stationary has no heading here.
+    """
+    total = arcs[-1]
+    if arc_position < 0 or arc_position > total + 1e-9:
+        raise ValueError(f"arc position {arc_position} outside trace [0, {total}]")
+    i = bisect_left(arcs, arc_position)
+    seg = i if i < len(arcs) and arcs[i] == arc_position else i - 1
+    seg = min(max(seg, 0), len(arcs) - 2)
+    a, b = trace.fixes[seg], trace.fixes[seg + 1]
+    seg_len = arcs[seg + 1] - arcs[seg]
+    frac = min((arc_position - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0
+    position = interpolate_along(a.position, b.position, frac)
+    timestamp = round(a.timestamp_ms + frac * (b.timestamp_ms - a.timestamp_ms))
+    j = seg
+    while j >= 0 and coincident(trace.fixes[j].position, trace.fixes[j + 1].position):
+        j -= 1
+    if j < 0:
+        raise ValueError("degenerate trace: no segment with a defined heading")
+    heading = initial_bearing(trace.fixes[j].position, trace.fixes[j + 1].position)
+    speed_kmh = seg_len / ((b.timestamp_ms - a.timestamp_ms) / 1000.0) * KMH_PER_MPS
+    return position, heading, speed_kmh, timestamp
+
+
+# A step of a random drive: stay put, or move up to 30 m north and east.
+_move = st.tuples(st.floats(-30, 30), st.floats(-30, 30))
+_trace_step = st.one_of(st.none(), _move)
+
+
+@st.composite
+def drive_traces(draw):
+    """Drives with stationary runs at the start (half of them), in the middle and at the end."""
+    steps = [None] * draw(st.sampled_from([0, 0, 1, 3]))
+    steps += [draw(_move)] + draw(st.lists(_trace_step, max_size=24))
+    steps += [None] * draw(st.integers(0, 3))
+    position, t = GeoPoint(32.8, -117.3), 0
+    fixes = [TraceFix(t, position)]
+    for step in steps:
+        if step is not None:
+            position = offset(position, north_m=step[0], east_m=step[1])
+        t += draw(st.integers(1, 3000))
+        fixes.append(TraceFix(t, position))
+    return DriveTrace(tuple(fixes), "c")
+
+
+class TestCheckpointsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=drive_traces(), k=st.sampled_from([1.0, 2.0, 2.5, 3.0, 5.0]), whole_meters=st.booleans())
+    def test_matches_bisect_reference(self, trace, k, whole_meters):
+        # With whole-meter segment lengths, grid arcs land exactly on fixes,
+        # stationary ones included, which exercises the boundary rule.
+        calls = {"haversine": 0, "bearing": 0}
+
+        def distance(a, b):
+            calls["haversine"] += 1
+            d = haversine_distance(a, b)
+            return float(round(d)) if whole_meters else d
+
+        def bearing(a, b):
+            calls["bearing"] += 1
+            return initial_bearing(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(advisory, "haversine_distance", distance)
+            arcs = advisory._cumulative_arcs(trace)
+            calls["haversine"] = 0
+            mp.setattr(advisory, "initial_bearing", bearing)
+            fixes = [f.position for f in trace.fixes]
+            moving = [j for j in range(len(fixes) - 1) if not coincident(fixes[j], fixes[j + 1])]
+            expected = []
+            try:
+                for i in range(int(arcs[-1] / k + 1e-9) + 1):
+                    try:
+                        expected.append(Checkpoint(i * k, *kinematics_by_bisect(trace, arcs, i * k)))
+                    except ValueError as exc:
+                        if "degenerate" not in str(exc):
+                            raise
+                        expected.append(None)  # in a parked start: the reference has no heading
+            except ValueError as exc:
+                assert "outside trace" in str(exc)
+                with pytest.raises(ValueError, match="outside trace"):
+                    checkpoints(trace, k)
+                return
+            if not moving:
+                with pytest.raises(ValueError, match="degenerate"):
+                    checkpoints(trace, k)
+                return
+            calls["bearing"] = 0
+            got = checkpoints(trace, k)
+
+        assert calls["haversine"] == len(fixes) - 1  # the arcs are computed once
+        assert calls["bearing"] <= len(moving)
+        first_heading = initial_bearing(fixes[moving[0]], fixes[moving[0] + 1])
+        assert len(got) == len(expected)
+        for cp, want in zip(got, expected):
+            if want is None:
+                assert cp.heading == first_heading
+            else:
+                assert cp == want
 
 
 class TestEvaluateCheckpoint:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -138,6 +139,15 @@ class TestReplay:
         assert out.exists()
         assert "advisories" in result.output
 
+    def test_drive_that_begins_parked(self, runner, scenario_files):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        drive = scenario_files / "parked.csv"
+        drive.write_text("timestamp,latitude,longitude,clip_id\n0,0,0,c\n1000,0,0,c\n2000,0.0001,0,c\n3000,0.0002,0,c\n")
+        result = runner.invoke(main, ["replay", str(map_file), str(drive)])
+        assert result.exit_code == 0, result.output
+        first = json.loads(result.output.splitlines()[0])
+        assert (first["speed_kmh"], first["heading_deg"]) == (0.0, 0.0)
+
     def test_multi_clip_requires_selector(self, runner, scenario_files, tmp_path):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         t1 = northbound_trace(GeoPoint(0, 0), 50.0, 30.0, clip_id="a")
@@ -253,3 +263,48 @@ class TestExport:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert runner.invoke(main, ["export", str(bad)]).exit_code != 0
+
+
+NODE = {"lat": 0.001, "lon": 0.0, "count": 1, "timestamp_ms": 5000, "clip_id": "train"}
+WINDOW = {"clip_id": "drive1", "start_m": 135.0, "end_m": 165.0}
+
+
+def map_text(**changes):
+    return json.dumps({"schema_version": 1, "nodes": [{**NODE, **changes}]})
+
+
+def ground_truth_text(**changes):
+    return json.dumps([{**WINDOW, **changes}])
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        pytest.param("map", "[]", id="map-array"),
+        pytest.param("map", json.dumps({"schema_version": 1, "nodes": {}}), id="map-nodes-object"),
+        pytest.param("map", json.dumps({"schema_version": 1, "nodes": [1]}), id="map-node-number"),
+        pytest.param("map", map_text(lon=math.nan), id="map-lon-nan"),
+        pytest.param("map", map_text(lon=math.inf), id="map-lon-inf"),
+        pytest.param("map", map_text(count=True), id="map-count-bool"),
+        pytest.param("map", map_text(timestamp_ms="5000"), id="map-timestamp-string"),
+        pytest.param("map", map_text(clip_id=7), id="map-clip-int"),
+        pytest.param("ground_truth", "[1]", id="gt-entry-number"),
+        pytest.param("ground_truth", ground_truth_text(start_m=None), id="gt-start-null"),
+        pytest.param("ground_truth", ground_truth_text(end_m=math.inf), id="gt-end-inf"),
+        pytest.param("ground_truth", ground_truth_text(start_m="5"), id="gt-start-string"),
+        pytest.param("ground_truth", ground_truth_text(clip_id=7), id="gt-clip-int"),
+        pytest.param("ground_truth", ground_truth_text(label=7), id="gt-label-int"),
+    ],
+)
+def test_malformed_input_fails_cleanly(runner, scenario_files, kind, text):
+    map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+    bad = scenario_files / f"bad_{kind}.json"
+    bad.write_text(text)
+    paths = {"map": map_file, "ground_truth": scenario_files / "gt.json", kind: bad}
+    result = runner.invoke(
+        main, ["eval", str(paths["map"]), str(scenario_files / "drive.csv"), str(paths["ground_truth"])]
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {bad}: ")
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -190,6 +191,29 @@ class TestGroundTruthIO:
     def test_non_array_rejected(self):
         with pytest.raises(ValueError, match="array"):
             load_ground_truth(io.StringIO('{"clip_id": "c"}'))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1", "expected an object"),
+            ('{"start_m": 0, "end_m": 5}', "clip_id"),
+            ('{"clip_id": "c", "label": null, "start_m": 0, "end_m": 5}', "label"),
+            ('{"clip_id": "c", "start_m": "0", "end_m": 5}', "numbers"),
+            ('{"clip_id": "c", "start_m": false, "end_m": 5}', "numbers"),
+            ('{"clip_id": "c", "start_m": 0}', "numbers"),
+            ('{"clip_id": "c", "start_m": 0, "end_m": 1e400}', "inf"),
+            ('{"clip_id": "c", "start_m": NaN, "end_m": 5}', "nan"),
+            ('{"clip_id": "c", "start_m": 0, "end_m": 1%s}' % ("0" * 400), "too large"),
+        ],
+    )
+    def test_bad_entry_named(self, entry, message):
+        text = '[{"clip_id": "c", "start_m": 0, "end_m": 5}, ' + entry + "]"
+        with pytest.raises(ValueError, match=f"^ground-truth entry 1: .*{message}"):
+            load_ground_truth(io.StringIO(text))
+
+    def test_window_bounds_must_be_finite(self):
+        with pytest.raises(ValueError, match="inf"):
+            GroundTruthWindow("c", 0.0, math.inf)
 
 
 class TestReportRendering:

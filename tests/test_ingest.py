@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 
 import pytest
@@ -232,6 +233,7 @@ class TestMergeMaps:
     def test_identity(self):
         m = HotspotMap(self.nodes(1, 5))
         assert merge_maps(HotspotMap(), m).nodes == m.nodes
+        assert merge_maps().nodes == []
 
     def test_size_adds(self):
         a, b = HotspotMap(self.nodes(1, 5)), HotspotMap(self.nodes(2, 7))
@@ -246,6 +248,7 @@ class TestMergeMaps:
     def test_associative(self):
         a, b, c = (HotspotMap(self.nodes(s, 4)) for s in (1, 2, 3))
         assert merge_maps(merge_maps(a, b), c).nodes == merge_maps(a, merge_maps(b, c)).nodes
+        assert merge_maps(a, b, c).nodes == a.nodes + b.nodes + c.nodes
 
     def test_merge_invalidates_index(self):
         a = HotspotMap(self.nodes(1, 5))
@@ -281,6 +284,67 @@ class TestSerialization:
 
     def test_empty_geojson(self):
         assert map_to_geojson(HotspotMap()) == {"type": "FeatureCollection", "features": []}
+
+    GOOD_NODE = {"lat": 1.5, "lon": -2.5, "count": 2, "timestamp_ms": 1000, "clip_id": "c"}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lon": math.nan}, "finite"),
+            ({"lat": -math.inf}, "finite"),
+            ({"lat": True}, "finite"),
+            ({"lon": "1.0"}, "finite"),
+            ({"lat": None}, "finite"),
+            ({"lat": 10**400}, "too large"),
+            ({"lat": 91.0}, "latitude"),
+            ({"count": True}, "integers"),
+            ({"count": 2.0}, "integers"),
+            ({"count": 0}, "count >= 1"),
+            ({"timestamp_ms": "1000"}, "integers"),
+            ({"clip_id": 7}, "string"),
+        ],
+    )
+    def test_node_schema_enforced_in_both_formats(self, change, message):
+        bad = {**self.GOOD_NODE, **change}
+        with pytest.raises(ValueError, match=f"^node 1: .*{message}"):
+            map_from_dict({"schema_version": 1, "nodes": [self.GOOD_NODE, bad]})
+        features = [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [n["lon"], n["lat"]]},
+                "properties": {k: n[k] for k in ("count", "timestamp_ms", "clip_id")},
+            }
+            for n in (self.GOOD_NODE, bad)
+        ]
+        with pytest.raises(ValueError, match=f"^feature 1: .*{message}"):
+            map_from_geojson({"type": "FeatureCollection", "features": features})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "JSON object"),
+            ({"schema_version": 1}, "must be a list"),
+            ({"schema_version": 1, "nodes": {}}, "must be a list"),
+            ({"schema_version": 1, "nodes": [[1.5, -2.5]]}, "node 0: expected an object"),
+        ],
+    )
+    def test_map_shape_checked(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            map_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {"type": "FeatureCollection"},
+            {"type": "FeatureCollection", "features": [1]},
+            {"type": "FeatureCollection", "features": [{"geometry": {"coordinates": [0]}, "properties": {}}]},
+            {"type": "FeatureCollection", "features": [{"geometry": {"coordinates": [0, 0]}, "properties": []}]},
+        ],
+    )
+    def test_geojson_shape_checked(self, data):
+        with pytest.raises(ValueError):
+            map_from_geojson(data)
 
 
 class TestHotspotNode:
