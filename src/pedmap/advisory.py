@@ -315,7 +315,11 @@ def decision_to_record(decision: AdvisoryDecision) -> dict:
     }
 
 
+# ``json.dumps``'s defaults, and with them its C encoder, but NaN and inf raise.
+_JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def timeline_to_jsonl(timeline: AdvisoryTimeline) -> Iterator[str]:
-    """One JSON object per advisory decision, in replay order."""
+    """One JSON object per advisory decision, in replay order; a non-finite value raises ValueError."""
     for decision in timeline.decisions:
-        yield json.dumps(decision_to_record(decision))
+        yield _JSONL_ENCODER.encode(decision_to_record(decision))

@@ -19,11 +19,12 @@ from . import advisory, evaluation, ingest
 
 @contextmanager
 def _failing(path: Optional[str] = None) -> Iterator[None]:
-    """The CLI's one error boundary: bad input (``ValueError``) or a file error (``OSError``)
-    ends the command with a one-line message, prefixed with ``path`` when given."""
+    """The CLI's one error boundary: bad input (``ValueError``, or ``RecursionError`` from JSON
+    nested too deep to decode) or a file error (``OSError``) ends the command with a one-line
+    message, prefixed with ``path`` when given."""
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.ClickException(f"{path}: {exc}" if path else str(exc)) from exc
 
 
@@ -184,7 +185,7 @@ def sweep(map_file: str, trace_csv: str, ground_truth: str, ks: str, clip: Optio
 def export(map_file: str, out_path: Optional[str]) -> None:
     """Export a hotspot map as a GeoJSON FeatureCollection of points."""
     hotspot_map = _load_map(map_file)
-    text = json.dumps(ingest.map_to_geojson(hotspot_map), indent=2) + "\n"
+    text = json.dumps(ingest.map_to_geojson(hotspot_map), indent=2, allow_nan=False) + "\n"
     if out_path:
         with _failing(), open(out_path, "w", encoding="utf-8") as f:
             f.write(text)

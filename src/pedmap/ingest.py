@@ -257,6 +257,8 @@ def _node(kind: str, i: int, fields: object) -> HotspotNode:
         count, timestamp_ms, clip_id = fields.get("count"), fields.get("timestamp_ms"), fields.get("clip_id")
         if not (type(lat) in (int, float) and type(lon) in (int, float) and isfinite(lat) and isfinite(lon)):
             raise ValueError(f"lat and lon must be finite numbers, got {lat!r}, {lon!r}")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"longitude {lon} outside [-180, 180]")
         if not (type(count) is int and type(timestamp_ms) is int and isinstance(clip_id, str)):
             raise ValueError(f"count and timestamp_ms must be integers and clip_id a string, got {count!r}, {timestamp_ms!r}, {clip_id!r}")
         return HotspotNode(GeoPoint(lat, lon), count, timestamp_ms, clip_id)
@@ -269,7 +271,7 @@ def map_from_dict(data: object) -> HotspotMap:
     if not isinstance(data, dict):
         raise ValueError("a map must be a JSON object")
     version = data.get("schema_version")
-    if version != MAP_SCHEMA_VERSION:
+    if type(version) is not int or version != MAP_SCHEMA_VERSION:
         raise ValueError(f"unsupported map schema_version {version!r}")
     nodes = data.get("nodes")
     if not isinstance(nodes, list):
@@ -279,7 +281,7 @@ def map_from_dict(data: object) -> HotspotMap:
 
 def save_map(hotspot_map: HotspotMap, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(map_to_dict(hotspot_map), f, indent=2)
+        json.dump(map_to_dict(hotspot_map), f, indent=2, allow_nan=False)
         f.write("\n")
 
 

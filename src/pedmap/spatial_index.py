@@ -1,40 +1,57 @@
-"""Ball tree over geographic points with the haversine metric.
+"""Ball tree over geographic points, answering haversine queries exactly.
 
-Each tree node bounds its subtree by a ball: a center point plus the maximum
-haversine distance from that center to any point below it. Because haversine
-satisfies the triangle inequality on the sphere, the standard lower bound
+Each point is stored once as a 3-D unit vector ``(cos φ cos λ, cos φ sin λ,
+sin φ)``. Each tree node bounds its subtree by a ball in that space: the
+normalized centroid of its points plus the largest chord from that center to
+any of them. Chord length ``2 sin(d / 2R)`` rises with great-circle distance
+``d``, so the Euclidean triangle inequality bound
 
-    dist(query, center) - radius
+    |query - center| - radius
 
-prunes exactly, so queries return the same distances as a linear scan.
+lower-bounds the chord to every point in the ball, with no trigonometry per
+ball or per point. Centroids, unlike lat/lon means, stay tight across ±180°
+and near the poles.
 
 All queries share one best-first traversal (Hjaltason & Samet 1999). A heap
-holds balls keyed by lower bound and points keyed by exact distance; nothing
-keyed above the radius is pushed. Balls pop before points at an equal key and
-points tie in index order, so hits come lazily in ``(distance, node_index)``
-order and a caller may stop at the first one it wants.
+holds balls keyed by their lower bound in meters and points keyed by exact
+``haversine_distance``, which only points passing a chord prefilter pay for;
+nothing keyed above the radius is pushed. Balls pop before points at an equal
+key and points tie in index order, so hits come lazily in
+``(distance, node_index)`` order, with the distances a linear scan reports,
+and a caller may stop at the first one it wants.
 
 Construction splits a node by the farthest-point-pair heuristic: take the
 node's first point, find its farthest point A, find A's farthest point B, and
-partition by proximity to A versus B. Seeding with the first point (rather
-than a random one) keeps construction deterministic for a given input order.
+partition by proximity to A versus B, all by dot products. Seeding with the
+first point (rather than a random one) keeps construction deterministic for a
+given input order.
 """
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
-from math import inf
+from math import asin, cos, dist, hypot, inf, pi, radians, sin, sqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .geodesy import GeoPoint, haversine_distance
+from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
 
 DEFAULT_LEAF_SIZE = 16
 
-# Rounding can put a computed ball bound above the computed distance of a point
-# in the ball (say, duplicates whose mean center is an ulp off). Lowering bounds
-# by this fraction of (center distance + radius), 1 cm at 10,000 km, keeps the
-# heap order exact everywhere but within meters of a point's antipode.
-_BOUND_SLACK = 1e-9
+_TWO_R = 2.0 * EARTH_RADIUS_M
+
+# Unit vectors, centers, radii and haversine all round at around 1e-15 on the
+# unit sphere. Lowering every ball bound and widening every chord test by this
+# much more (6 µm on the ground) keeps the bounds below the haversine distance
+# of every point they cover, the antipode included, so pruning and heap order
+# stay exact.
+_CHORD_SLACK = 1e-12
+
+
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    phi, lam = radians(p.lat), radians(p.lon)
+    c = cos(phi)
+    return c * cos(lam), c * sin(lam), sin(phi)
 
 
 class NeighborResult(NamedTuple):
@@ -45,9 +62,9 @@ class NeighborResult(NamedTuple):
 class _Ball:
     __slots__ = ("center", "radius", "left", "right", "indices")
 
-    def __init__(self, center: GeoPoint, radius: float):
-        self.center = center
-        self.radius = radius
+    def __init__(self, center: tuple[float, float, float], radius: float):
+        self.center = center  # a unit vector
+        self.radius = radius  # a chord on the unit sphere
         self.left: Optional[_Ball] = None
         self.right: Optional[_Ball] = None
         self.indices: Optional[list[int]] = None  # set on leaves only
@@ -65,6 +82,13 @@ class BallTree:
             raise ValueError("leaf_size must be >= 1")
         self._points = list(points)
         self.leaf_size = leaf_size
+        # One flat array per coordinate: a tuple per point costs ~140 bytes.
+        self._xs, self._ys, self._zs = array("d"), array("d"), array("d")
+        for p in self._points:
+            x, y, z = _unit_vector(p)
+            self._xs.append(x)
+            self._ys.append(y)
+            self._zs.append(z)
         self._root = self._build(list(range(len(self._points)))) if self._points else None
 
     def __len__(self) -> int:
@@ -75,27 +99,42 @@ class BallTree:
         return self._points
 
     def _make_ball(self, indices: list[int]) -> _Ball:
-        pts = self._points
-        n = len(indices)
-        center = GeoPoint(
-            sum(pts[i].lat for i in indices) / n,
-            sum(pts[i].lon for i in indices) / n,
-        )
-        radius = max(haversine_distance(center, pts[i]) for i in indices)
-        return _Ball(center, radius)
+        xs, ys, zs = self._xs, self._ys, self._zs
+        sx, sy, sz = (sum(map(c.__getitem__, indices)) for c in (xs, ys, zs))
+        norm = hypot(sx, sy, sz)
+        if norm == 0.0:
+            # The points cancel out (an exactly antipodal pair can): any member will do.
+            i = indices[0]
+            cx, cy, cz = xs[i], ys[i], zs[i]
+        else:
+            cx, cy, cz = sx / norm, sy / norm, sz / norm
+        # From coordinate differences: 2 - 2·dot cancels at meter scale and
+        # could round the radius below a member's chord.
+        farthest = 0.0
+        for i in indices:
+            dx, dy, dz = xs[i] - cx, ys[i] - cy, zs[i] - cz
+            d = dx * dx + dy * dy + dz * dz
+            if d > farthest:
+                farthest = d
+        return _Ball((cx, cy, cz), sqrt(farthest))
+
+    def _dots(self, i: int, indices: list[int]) -> list[float]:
+        xs, ys, zs = self._xs, self._ys, self._zs
+        ax, ay, az = xs[i], ys[i], zs[i]
+        return [ax * xs[j] + ay * ys[j] + az * zs[j] for j in indices]
 
     def _split(self, indices: list[int]) -> tuple[list[int], list[int]]:
-        pts = self._points
-        seed = pts[indices[0]]
-        a_idx = max(indices, key=lambda i: haversine_distance(seed, pts[i]))
-        a = pts[a_idx]
-        dist_a = {i: haversine_distance(a, pts[i]) for i in indices}
-        b_idx = max(indices, key=lambda i: dist_a[i])
-        b = pts[b_idx]
+        # The farthest point has the smallest dot product.
+        seed_dots = self._dots(indices[0], indices)
+        a_idx = indices[seed_dots.index(min(seed_dots))]
+        dots_a = self._dots(a_idx, indices)
+        b_idx = indices[dots_a.index(min(dots_a))]
+        xs, ys, zs = self._xs, self._ys, self._zs
+        bx, by, bz = xs[b_idx], ys[b_idx], zs[b_idx]
         left: list[int] = []
         right: list[int] = []
-        for i in indices:
-            (left if dist_a[i] <= haversine_distance(b, pts[i]) else right).append(i)
+        for i, dot_a in zip(indices, dots_a):
+            (left if dot_a >= bx * xs[i] + by * ys[i] + bz * zs[i] else right).append(i)
         if not left or not right:
             # All points tied (e.g. duplicates): halve to guarantee progress.
             mid = len(indices) // 2
@@ -133,7 +172,12 @@ class BallTree:
         # for a point; ``<=`` tests keep a NaN radius from admitting anything.
         if self._root is None:
             return
-        pts = self._points
+        pts, xs, ys, zs = self._points, self._xs, self._ys, self._zs
+        q = qx, qy, qz = _unit_vector(query)
+        # Radii of half the circumference or more reach the whole sphere.
+        chord_r = 2.0 * sin(min(radius_m / _TWO_R, pi / 2))
+        reach = chord_r + _CHORD_SLACK
+        reach_sq = reach * reach
         # The root needs no bound of its own: its children are bounded when it pops.
         heap: list[tuple[float, int, int, Optional[_Ball]]] = [(-inf, 0, 0, self._root)]
         seq = 0
@@ -143,16 +187,17 @@ class BallTree:
                 yield NeighborResult(i, key)
             elif ball.indices is None:
                 for child in (ball.left, ball.right):
-                    d = haversine_distance(query, child.center)
-                    lb = d - child.radius - _BOUND_SLACK * (d + child.radius)
-                    if lb <= radius_m:
+                    lb = dist(q, child.center) - child.radius - _CHORD_SLACK
+                    if lb <= chord_r:
                         seq += 1
-                        heappush(heap, (lb, 0, seq, child))
+                        heappush(heap, (_TWO_R * asin(lb * 0.5) if lb > 0.0 else 0.0, 0, seq, child))
             else:
                 for i in ball.indices:
-                    d = haversine_distance(query, pts[i])
-                    if d <= radius_m:
-                        heappush(heap, (d, 1, i, None))
+                    dx, dy, dz = qx - xs[i], qy - ys[i], qz - zs[i]
+                    if dx * dx + dy * dy + dz * dz <= reach_sq:
+                        d = haversine_distance(query, pts[i])
+                        if d <= radius_m:
+                            heappush(heap, (d, 1, i, None))
 
     def nearest(self, query: GeoPoint) -> Optional[NeighborResult]:
         """The indexed point minimizing haversine distance to ``query``.

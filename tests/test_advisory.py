@@ -14,6 +14,7 @@ from pedmap.advisory import (
     KMH_PER_MPS,
     AdvisoryConfig,
     AdvisoryDecision,
+    AdvisoryTimeline,
     Checkpoint,
     DriveTrace,
     TraceFix,
@@ -584,6 +585,12 @@ class TestTimelineJsonl:
         assert first["arc_m"] == 0.0
         inactive = next(rec for rec in map(json.loads, lines) if not rec["active"])
         assert inactive["nearest_front_m"] is None
+
+    def test_non_finite_value_raises(self):
+        cp = Checkpoint(0.0, GeoPoint(0, 0), Heading(0.0), 50.0, 0)
+        timeline = AdvisoryTimeline((AdvisoryDecision(cp, False, math.nan),), "c", 2.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            list(timeline_to_jsonl(timeline))
 
 
 class TestParseTraceCsv:

@@ -288,12 +288,16 @@ def ground_truth_text(**changes):
         pytest.param("map", map_text(count=True), id="map-count-bool"),
         pytest.param("map", map_text(timestamp_ms="5000"), id="map-timestamp-string"),
         pytest.param("map", map_text(clip_id=7), id="map-clip-int"),
+        pytest.param("map", map_text(lon=200.0), id="map-lon-200"),
+        pytest.param("map", json.dumps({"schema_version": True, "nodes": [NODE]}), id="map-version-bool"),
+        pytest.param("map", "[" * 200_000 + "]" * 200_000, id="map-nested-200k"),
         pytest.param("ground_truth", "[1]", id="gt-entry-number"),
         pytest.param("ground_truth", ground_truth_text(start_m=None), id="gt-start-null"),
         pytest.param("ground_truth", ground_truth_text(end_m=math.inf), id="gt-end-inf"),
         pytest.param("ground_truth", ground_truth_text(start_m="5"), id="gt-start-string"),
         pytest.param("ground_truth", ground_truth_text(clip_id=7), id="gt-clip-int"),
         pytest.param("ground_truth", ground_truth_text(label=7), id="gt-label-int"),
+        pytest.param("ground_truth", "[" * 200_000 + "]" * 200_000, id="gt-nested-200k"),
     ],
 )
 def test_malformed_input_fails_cleanly(runner, scenario_files, kind, text):

@@ -20,6 +20,7 @@ from pedmap.ingest import (
     map_to_geojson,
     merge_maps,
     parse_detection_log,
+    save_map,
     split_intervals,
 )
 
@@ -269,6 +270,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="schema_version"):
             map_from_dict({"schema_version": 99, "nodes": []})
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_schema_version_must_be_integer(self, version):
+        # True == 1.0 == 1 in Python, so equality alone lets these through.
+        with pytest.raises(ValueError, match="schema_version"):
+            map_from_dict({"schema_version": version, "nodes": []})
+
     def test_geojson_shape(self):
         m = HotspotMap([HotspotNode(GeoPoint(32.88, -117.23), 2, 1000, "c")])
         geo = map_to_geojson(m)
@@ -281,6 +288,12 @@ class TestSerialization:
         original = build_map([rec(1000, 32.88012345, -117.23409876, 2)])
         restored = map_from_geojson(json.loads(json.dumps(map_to_geojson(original))))
         assert restored.nodes == original.nodes
+
+    def test_save_refuses_nan(self, tmp_path):
+        # GeoPoint normalizes a NaN longitude to NaN rather than rejecting it.
+        m = HotspotMap([HotspotNode(GeoPoint(1.5, math.nan), 2, 1000, "c")])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_map(m, str(tmp_path / "map.json"))
 
     def test_empty_geojson(self):
         assert map_to_geojson(HotspotMap()) == {"type": "FeatureCollection", "features": []}
@@ -302,6 +315,8 @@ class TestSerialization:
             ({"count": 0}, "count >= 1"),
             ({"timestamp_ms": "1000"}, "integers"),
             ({"clip_id": 7}, "string"),
+            ({"lon": 200.0}, "longitude 200.0 outside"),
+            ({"lon": -180.5}, "longitude -180.5 outside"),
         ],
     )
     def test_node_schema_enforced_in_both_formats(self, change, message):

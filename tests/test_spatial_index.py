@@ -1,12 +1,14 @@
+import heapq
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pedmap import spatial_index
-from pedmap.geodesy import GeoPoint, haversine_distance
-from pedmap.spatial_index import build_index, nearest_brute_force
+from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
+from pedmap.spatial_index import _unit_vector, build_index, nearest_brute_force
 
 
 def random_points(rng, n, lat0=32.8, lon0=-117.3, extent=0.1):
@@ -63,16 +65,50 @@ class TestBuild:
         assert len(tree.within_radius(GeoPoint(1.5, 2.5), 0.0)) == 100
 
     def test_ball_bounds_hold(self):
+        # Centers are unit vectors and radii chords on the unit sphere; the
+        # tolerance is a few ulps of 1, the rounding of a unit vector.
         rng = random.Random(7)
         pts = random_points(rng, 1000)
         tree = build_index(pts, leaf_size=16)
         seen = []
         for ball, indices in collect_balls(tree):
+            assert abs(math.hypot(*ball.center) - 1.0) <= 2**-51
             for i in indices:
-                assert haversine_distance(pts[i], ball.center) <= ball.radius + 1e-6
+                assert math.dist(_unit_vector(pts[i]), ball.center) <= ball.radius + 2**-50
             if ball.indices is not None:
                 seen.extend(ball.indices)
         assert sorted(seen) == list(range(len(pts)))  # each point in exactly one leaf
+
+    @pytest.mark.parametrize(
+        "lat0, lat_extent, lon_extent",
+        [
+            (0.0, 0.1, 0.1),  # a 0.1-degree box straddling the antimeridian
+            (89.9, 0.1, 0.1),  # the same box near the pole
+            (89.96, 0.08, 360.0),  # a cap around the pole, every longitude
+        ],
+    )
+    def test_root_ball_is_tight_across_the_antimeridian_and_poles(self, lat0, lat_extent, lon_extent):
+        # Lat/lon-mean centers land on the far side of the globe or off the
+        # pole here; centroids stay at the cluster.
+        rng = random.Random(17)
+        pts = [
+            GeoPoint(lat0 + (rng.random() - 0.5) * lat_extent, 180.0 + (rng.random() - 0.5) * lon_extent)
+            for _ in range(2000)
+        ]
+        tree = build_index(pts)
+        assert tree._root.radius * EARTH_RADIUS_M < 10_000
+        q = pts[0]
+        assert tree.nearest(q) == nearest_brute_force(pts, q)
+
+    def test_antipodal_pair_has_no_centroid(self):
+        # These two unit vectors are exact negatives, so their sum is zero.
+        pts = [GeoPoint(0, -166), GeoPoint(0, 14)]
+        assert [-c for c in _unit_vector(pts[0])] == list(_unit_vector(pts[1]))
+        tree = build_index(pts, leaf_size=1)
+        assert tree._root.center == _unit_vector(pts[0])
+        for q in [GeoPoint(0, 0), GeoPoint(45, -166), GeoPoint(-30, 14)]:
+            assert tree.nearest(q) == nearest_brute_force(pts, q)
+            assert len(tree.within_radius(q, math.inf)) == 2
 
     def test_construction_deterministic(self):
         rng = random.Random(11)
@@ -189,8 +225,8 @@ def _tree_and_query(draw):
 
 class TestBestFirstOracle:
     def test_far_query_over_duplicates_keeps_index_order(self):
-        # The ball centers, means of equal coordinates, sit an ulp off the
-        # points; bounds taken without rounding slack yield 9-12 before 4-8.
+        # The ball centers, normalized sums of equal vectors, sit an ulp off
+        # the points; bounds taken without rounding slack yield them out of order.
         pts = [GeoPoint(32.8046875, -117.29566060857631)] * 18
         hits = build_index(pts, leaf_size=4).iter_within(GeoPoint(0, -166), math.inf)
         assert [h.node_index for h in hits] == list(range(18))
@@ -211,6 +247,67 @@ class TestBestFirstOracle:
     def test_nearest_matches_brute_force(self, case):
         points, tree, query = case
         assert tree.nearest(query) == nearest_brute_force(points, query)
+
+
+_anywhere = st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180, exclude_max=True))
+
+
+def _antipode(p):
+    return GeoPoint(-p.lat, p.lon + 180.0)
+
+
+@st.composite
+def _tree_and_global_query(draw):
+    pool = draw(st.lists(st.one_of(_sites, _anywhere), min_size=1, max_size=8))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=120))
+    query = draw(
+        st.one_of(
+            st.sampled_from(pool),
+            _anywhere,
+            st.sampled_from(pool).map(_antipode),
+            st.builds(
+                lambda p, dlat, dlon: GeoPoint(max(-90.0, min(90.0, -p.lat + dlat)), p.lon + 180.0 + dlon),
+                st.sampled_from(pool),
+                st.floats(-1e-6, 1e-6),
+                st.floats(-1e-6, 1e-6),
+            ),
+        )
+    )
+    return points, build_index(points, leaf_size=draw(st.integers(1, 8))), query
+
+
+class TestGlobalQueries:
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_and_global_query())
+    def test_ball_key_never_exceeds_member_distance(self, case):
+        # An unbounded search pushes every ball but the root; each one's key
+        # must not exceed the haversine distance of any point below it.
+        points, tree, query = case
+        members = {id(ball): indices for ball, indices in collect_balls(tree)}
+        pushed = []
+
+        def recording(heap, entry):
+            pushed.append(entry)
+            heapq.heappush(heap, entry)
+
+        with mock.patch.object(spatial_index, "heappush", recording):
+            hits = tree.within_radius(query, math.inf)
+        assert len(hits) == len(points)
+        distance = [haversine_distance(query, p) for p in points]
+        for key, kind, _, ball in pushed:
+            if kind == 0:
+                assert key <= min(distance[i] for i in members[id(ball)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_and_global_query(), st.data())
+    def test_iter_within_matches_sorted_scan_at_any_radius(self, case, data):
+        # Radii up to past the antipode, and radii exactly at a point's
+        # distance, where the chord prefilter must not drop it.
+        points, tree, query = case
+        distance = [haversine_distance(query, p) for p in points]
+        radius = data.draw(st.one_of(st.sampled_from(distance), st.floats(0, 2.1e7)))
+        scan = sorted((d, i) for i, d in enumerate(distance) if d <= radius)
+        assert [(h.distance, h.node_index) for h in tree.iter_within(query, radius)] == scan
 
 
 class TestQueryCost:
