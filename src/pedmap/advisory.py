@@ -38,6 +38,9 @@ COINCIDENT_M = 1e-6
 
 KMH_PER_MPS = 3.6
 
+# Timestamps are interpolated in floats, which hold integers exactly only up to here.
+MAX_TIMESTAMP_MS = 2**53
+
 
 @dataclass(frozen=True, slots=True)
 class AdvisoryConfig:
@@ -86,15 +89,17 @@ class TraceFix:
 class DriveTrace:
     """An ordered GPS trace of one test drive clip.
 
-    Timestamps must be strictly increasing and consecutive fixes must be less
-    than 180 degrees apart in longitude (antimeridian-crossing traces are
-    rejected).
+    Timestamps must be strictly increasing and at most 2^53 in magnitude, and
+    consecutive fixes must be less than 180 degrees apart in longitude
+    (antimeridian-crossing traces are rejected).
     """
 
     fixes: tuple[TraceFix, ...]
     clip_id: str
 
     def __post_init__(self) -> None:
+        if self.fixes and max(-self.fixes[0].timestamp_ms, self.fixes[-1].timestamp_ms) > MAX_TIMESTAMP_MS:
+            raise ValueError(f"timestamps outside [-2**53, 2**53] ms in clip {self.clip_id!r}")
         for prev, cur in zip(self.fixes, self.fixes[1:]):
             if cur.timestamp_ms <= prev.timestamp_ms:
                 raise ValueError(
@@ -269,12 +274,24 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
     return AdvisoryDecision(cp, nearest_d is not None, radius, nearest_d, nearest_sep)
 
 
-def run_replay(trace: DriveTrace, hotspot_map: HotspotMap, cfg: AdvisoryConfig) -> AdvisoryTimeline:
-    """Evaluate every checkpoint of a drive in order and return the timeline."""
-    decisions = tuple(
-        evaluate_checkpoint(cp, hotspot_map, cfg) for cp in checkpoints(trace, cfg.sampling_distance)
-    )
-    return AdvisoryTimeline(decisions, trace.clip_id, cfg.sampling_distance)
+def run_replay(
+    trace: DriveTrace, hotspot_map: HotspotMap, cfg: AdvisoryConfig, decided: Optional[dict[float, AdvisoryDecision]] = None
+) -> AdvisoryTimeline:
+    """Evaluate every checkpoint of a drive in order and return the timeline.
+
+    ``decided`` maps exact arc positions to decisions: a checkpoint reuses the
+    stored one, and a new decision is stored. Share it only between replays of
+    the same trace, map and config that differ in the sampling distance alone.
+    """
+    if decided is None:
+        decided = {}
+    decisions = []
+    for cp in checkpoints(trace, cfg.sampling_distance):
+        decision = decided.get(cp.arc_position)
+        if decision is None:
+            decision = decided[cp.arc_position] = evaluate_checkpoint(cp, hotspot_map, cfg)
+        decisions.append(decision)
+    return AdvisoryTimeline(tuple(decisions), trace.clip_id, cfg.sampling_distance)
 
 
 def with_sampling_distance(cfg: AdvisoryConfig, sampling_distance: float) -> AdvisoryConfig:

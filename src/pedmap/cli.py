@@ -111,7 +111,7 @@ def replay(map_file: str, trace_csv: str, out_path: Optional[str], clip: Optiona
         cfg = advisory.AdvisoryConfig(**cfg_kwargs)
         hotspot_map = _load_map(map_file)
         timeline = advisory.run_replay(_load_trace(trace_csv, clip), hotspot_map, cfg)
-    lines = "".join(line + "\n" for line in advisory.timeline_to_jsonl(timeline))
+        lines = "".join(line + "\n" for line in advisory.timeline_to_jsonl(timeline))
     if out_path:
         with _failing(), open(out_path, "w", encoding="utf-8") as f:
             f.write(lines)

@@ -7,7 +7,8 @@ one window, after extending the span by one sampling distance on each side so
 a preemptive onset just before the window still gets credit. Precision is
 correct events over all events; recall is correct events over correct events
 plus missed windows. A zero denominator leaves the metric undefined rather
-than zero.
+than zero. A sweep replays the drive at each sampling distance K, but each
+distinct arc position is decided once and shared by every K whose grid has it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import IO, Optional, Sequence, Union
 
-from .advisory import AdvisoryConfig, AdvisoryTimeline, DriveTrace, run_replay, with_sampling_distance
+from .advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, DriveTrace, run_replay, with_sampling_distance
 from .ingest import HotspotMap
 
 UNDEFINED_MARKER = "—"  # em dash rendered for an undefined metric
@@ -125,15 +126,19 @@ def sweep_sampling_distance(
     sampling_distances: Sequence[float],
     windows: Sequence[GroundTruthWindow],
 ) -> EvalReport:
-    """Replay the drive once per sampling distance and score each run.
+    """Replay the drive at each sampling distance and score each run; the replays
+    share their decisions, so each distinct arc is decided once.
 
     Rows come back sorted ascending by sampling distance; duplicates collapse.
+    Every sampling distance is validated before any replay starts.
     """
     if not sampling_distances:
         raise ValueError("at least one sampling distance is required")
+    configs = {k: with_sampling_distance(cfg, k) for k in sorted(set(sampling_distances))}
+    decided: dict[float, AdvisoryDecision] = {}
     rows = []
-    for k in sorted(set(sampling_distances)):
-        timeline = run_replay(trace, hotspot_map, with_sampling_distance(cfg, k))
+    for k, k_cfg in configs.items():
+        timeline = run_replay(trace, hotspot_map, k_cfg, decided)
         counts = match_advisories(timeline, windows)
         rows.append(EvalRow(k, precision(counts), recall(counts), counts))
     return EvalReport(tuple(rows))

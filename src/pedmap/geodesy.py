@@ -20,8 +20,8 @@ COINCIDENT_DEG = 1e-12
 class GeoPoint:
     """A WGS84 latitude/longitude pair.
 
-    Latitude must lie in [-90, 90]; longitude is normalized into [-180, 180)
-    at construction.
+    Latitude must lie in [-90, 90]; longitude must be finite and is normalized
+    into [-180, 180) at construction.
     """
 
     lat: float
@@ -31,6 +31,8 @@ class GeoPoint:
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         lon = ((self.lon + 180.0) % 360.0) - 180.0
+        if lon != lon:  # NaN, which is also what the normalization makes of +-inf
+            raise ValueError(f"longitude {self.lon} is not finite")
         object.__setattr__(self, "lon", lon)
 
 

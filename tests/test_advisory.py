@@ -5,10 +5,10 @@ import random
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import map_of, make_node, northbound_trace, offset, random_scenario
-from pedmap import advisory, spatial_index
+from pedmap import advisory, evaluation, spatial_index
 from pedmap.advisory import (
     COINCIDENT_M,
     KMH_PER_MPS,
@@ -27,6 +27,15 @@ from pedmap.advisory import (
     timeline_to_jsonl,
     trace_arc_length,
     with_sampling_distance,
+)
+from pedmap.evaluation import (
+    EvalReport,
+    EvalRow,
+    GroundTruthWindow,
+    match_advisories,
+    precision,
+    recall,
+    sweep_sampling_distance,
 )
 from pedmap.geodesy import (
     GeoPoint,
@@ -111,6 +120,13 @@ class TestDriveTrace:
     def test_non_increasing_timestamps_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             DriveTrace((TraceFix(1000, GeoPoint(0, 0)), TraceFix(1000, GeoPoint(0, 0.001))), "c")
+
+    def test_timestamps_within_2_53(self):
+        a, b = GeoPoint(0, 0), GeoPoint(0, 0.001)
+        assert len(DriveTrace((TraceFix(-(2**53), a), TraceFix(2**53, b)), "c").fixes) == 2
+        for first, last in ((-(2**53) - 1, 0), (0, 2**53 + 1)):
+            with pytest.raises(ValueError, match="outside"):
+                DriveTrace((TraceFix(first, a), TraceFix(last, b)), "c")
 
     def test_longitude_jump_rejected(self):
         with pytest.raises(ValueError, match="longitude"):
@@ -562,6 +578,105 @@ class TestRunReplay:
             grown = run_replay(scenario.trace, bigger, cfg)
             for d_a, d_b in zip(base.decisions, grown.decisions):
                 assert d_b.active or not d_a.active
+
+
+# Sampling distances whose grids share arcs in many combinations; lists may repeat one.
+_sweep_ks = st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5, 10.0]), min_size=2, max_size=6)
+
+
+@st.composite
+def replay_scenarios(draw):
+    """A random drive, nodes scattered around its fixes, and a random config."""
+    trace = draw(drive_traces())
+    nodes = []
+    for (north, east), count in draw(st.lists(st.tuples(_node_offsets, st.integers(1, 4)), max_size=30)):
+        near = trace.fixes[draw(st.integers(0, len(trace.fixes) - 1))].position
+        nodes.append(make_node(offset(near, north_m=north, east_m=east), count))
+    cfg = AdvisoryConfig(
+        min_count=draw(st.integers(1, 4)), heading_threshold=draw(st.floats(0, 180, exclude_min=True))
+    )
+    return trace, HotspotMap(nodes), cfg
+
+
+@st.composite
+def windows_along(draw, trace):
+    """Disjoint ground-truth windows cut from the drive's length."""
+    length = trace_arc_length(trace)
+    cuts = sorted({f * length for f in draw(st.lists(st.floats(0, 1), min_size=2, max_size=10))})
+    return [GroundTruthWindow(trace.clip_id, start, end) for start, end in zip(cuts[::2], cuts[1::2])]
+
+
+def sweep_by_replays(trace, hotspot_map, cfg, ks, windows):
+    """The sweep with no shared decisions: every checkpoint of every K decided anew."""
+    rows = []
+    for k in sorted(set(ks)):
+        k_cfg = with_sampling_distance(cfg, k)
+        timeline = AdvisoryTimeline(
+            tuple(evaluate_checkpoint(cp, hotspot_map, k_cfg) for cp in checkpoints(trace, k)), trace.clip_id, k
+        )
+        counts = match_advisories(timeline, windows)
+        rows.append(EvalRow(k, precision(counts), recall(counts), counts))
+    return EvalReport(tuple(rows))
+
+
+class TestSharedDecisions:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=replay_scenarios(), ks=_sweep_ks, data=st.data())
+    def test_sweep_matches_replays_from_scratch(self, scenario, ks, data):
+        trace, hotspot_map, cfg = scenario
+        windows = data.draw(windows_along(trace))
+        try:
+            expected = sweep_by_replays(trace, hotspot_map, cfg, ks, windows)
+        except ValueError as exc:  # a degenerate drive, or a grid arc past the end
+            with pytest.raises(ValueError) as raised:
+                sweep_sampling_distance(trace, hotspot_map, cfg, ks, windows)
+            assert str(raised.value) == str(exc)
+            return
+        assert sweep_sampling_distance(trace, hotspot_map, cfg, ks, windows) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=replay_scenarios(), ks=_sweep_ks, rng=st.randoms(use_true_random=False))
+    def test_shared_dict_keeps_timelines_in_any_order(self, scenario, ks, rng):
+        trace, hotspot_map, cfg = scenario
+        configs = {k: with_sampling_distance(cfg, k) for k in sorted(set(ks))}
+        try:
+            plain = {k: run_replay(trace, hotspot_map, k_cfg) for k, k_cfg in configs.items()}
+        except ValueError:
+            assume(False)
+        shuffled = list(configs)
+        rng.shuffle(shuffled)
+        for order in (list(configs), list(configs)[::-1], shuffled):
+            decided = {}
+            for k in order:
+                assert run_replay(trace, hotspot_map, configs[k], decided) == plain[k]
+
+    def test_each_distinct_arc_decided_once(self, monkeypatch):
+        trace, hotspot_map = TestRunReplay().single_hotspot_setup(length=300.0)
+        cfg = AdvisoryConfig()
+        ks = [2.0, 3.0, 4.0, 5.0]
+        decided_arcs, replayed = [], []
+        real_decide, real_replay = advisory.evaluate_checkpoint, evaluation.run_replay
+
+        def deciding(cp, hotspot_map, cfg):
+            decided_arcs.append(cp.arc_position)
+            return real_decide(cp, hotspot_map, cfg)
+
+        def replaying(trace, hotspot_map, cfg, *rest):
+            replayed.append(cfg.sampling_distance)
+            return real_replay(trace, hotspot_map, cfg, *rest)
+
+        monkeypatch.setattr(advisory, "evaluate_checkpoint", deciding)
+        monkeypatch.setattr(evaluation, "run_replay", replaying)
+        sweep_sampling_distance(trace, hotspot_map, cfg, ks, [GroundTruthWindow(trace.clip_id, 135.0, 165.0)])
+        grids = [[cp.arc_position for cp in checkpoints(trace, k)] for k in ks]
+        union = sorted(set().union(*grids))
+        assert replayed == ks
+        assert sorted(decided_arcs) == union
+        assert len(union) < sum(map(len, grids))
+
+        decided_arcs.clear()
+        run_replay(trace, hotspot_map, cfg)
+        assert decided_arcs == grids[0]
 
 
 class TestTimelineJsonl:

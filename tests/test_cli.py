@@ -1,8 +1,11 @@
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from conftest import M_PER_DEG_LAT, northbound_trace
 from pedmap.cli import main
@@ -129,6 +132,14 @@ class TestReplay:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_infinite_stopping_distance_fails_cleanly(self, runner, scenario_files):
+        # The radius overflows to inf, which the JSONL timeline cannot carry.
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        result = runner.invoke(main, ["replay", str(map_file), str(scenario_files / "drive.csv"), "--reaction-time", "1e308"])
+        assert result.exit_code == 1
+        assert result.output == "Error: Out of range float values are not JSON compliant\n"
+        assert isinstance(result.exception, SystemExit)
+
     def test_output_file(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         out = scenario_files / "timeline.jsonl"
@@ -230,6 +241,17 @@ class TestEvalAndSweep:
             )
             assert result.exit_code != 0
 
+    @pytest.mark.parametrize("ks", ["nan", "inf", "2,nan"])
+    def test_non_finite_ks_rejected(self, runner, scenario_files, ks):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        result = runner.invoke(
+            main,
+            ["sweep", str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json"), "--ks", ks],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: sampling_distance must be finite\n"
+        assert isinstance(result.exception, SystemExit)
+
     def test_byte_identical_reports(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         args = ["sweep", str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json")]
@@ -263,6 +285,21 @@ class TestExport:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert runner.invoke(main, ["export", str(bad)]).exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "row, timestamp", [(-1, 2**53 + 1), (1, -(2**53) - 1), (-1, 10**400)], ids=["2^53+1", "-2^53-1", "10^400"]
+)
+def test_drive_timestamp_beyond_float_range_fails_cleanly(runner, scenario_files, row, timestamp):
+    map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+    drive = scenario_files / "drive.csv"
+    lines = drive.read_text().splitlines()
+    lines[row] = ",".join([str(timestamp)] + lines[row].split(",")[1:])
+    drive.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["replay", str(map_file), str(drive)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {drive}: timestamps outside [-2**53, 2**53] ms in clip 'drive1'\n"
+    assert isinstance(result.exception, SystemExit)
 
 
 NODE = {"lat": 0.001, "lon": 0.0, "count": 1, "timestamp_ms": 5000, "clip_id": "train"}
@@ -312,3 +349,128 @@ def test_malformed_input_fails_cleanly(runner, scenario_files, kind, text):
     assert result.output.startswith(f"Error: {bad}: ")
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+# --- fuzzing the CLI boundary ---------------------------------------------------
+
+# Splices for a file's text: structure breakers, non-finite and out-of-range
+# values, a 400-digit number and non-ASCII characters. They seldom turn a
+# coordinate of the base files into a distant in-range one, so a mangled drive
+# stays short enough to replay quickly.
+_JUNK = [
+    "", " ", ",", '"', "\n", "\r\n", "\x00", "\ufeff", "é", "-", ".", "e", "x", "{", "}", "[", "]", ":",
+    "null", "true", "nan", "NaN", "Infinity", "-inf", "1e999", "-91", "181", "9" * 400,
+]
+
+
+@st.composite
+def mangled(draw, text):
+    """``text`` as bytes after up to three edits (a junk splice over up to 12
+    characters, or a line dropped, duplicated or swapped), sometimes with a
+    byte that is not UTF-8."""
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["splice", "drop", "dup", "swap"]))
+        if op == "splice":
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 12)))
+            text = text[:i] + draw(st.sampled_from(_JUNK)) + text[j:]
+            continue
+        lines = text.split("\n")
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        text = "\n".join(lines)
+    data = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + b"\xff" + data[i:]
+    return data
+
+
+def _maybe_mangled(text):
+    return st.one_of(st.just(text.encode()), mangled(text))
+
+
+# Flag values click itself parses, so each run reaches the program's own checks.
+# The sampling distances stay at or above 0.5 m: far smaller ones are valid but
+# make a replay of millions of checkpoints.
+_FLOAT_FLAGS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.5", "2", "45", "180", "1e308"]
+_FLAG_VALUES = {
+    "--reaction-time": _FLOAT_FLAGS,
+    "--friction": _FLOAT_FLAGS,
+    "--grade": _FLOAT_FLAGS,
+    "--safety-factor": _FLOAT_FLAGS,
+    "--sampling-distance": ["nan", "inf", "-1", "0", "0.5", "2", "5", "1e308"],
+    "--heading-threshold": _FLOAT_FLAGS,
+    "--min-count": ["-1", "0", "1", "2", "99999999999999999999"],
+}
+_KS_PARTS = ["2", "3", "0.5", "5", "1e308", "nan", "inf", "-1", "0", "abc", " ", ""]
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand, the bytes of each input file, and its flags."""
+    command = draw(st.sampled_from(["build", "replay", "eval", "sweep"]))
+    files, flags = {}, []
+    if command == "build":
+        files["train.csv"] = draw(_maybe_mangled(training_csv_text(150.0)))
+        files["train2.csv"] = draw(_maybe_mangled(training_csv_text(300.0, clip="other")))
+        flags += ["--count-mode", draw(st.sampled_from(["max", "sum"]))]
+    else:
+        trace = northbound_trace(GeoPoint(0, 0), 220.0, 50.0, clip_id="drive1")
+        files["map.json"] = draw(_maybe_mangled(json.dumps({"schema_version": 1, "nodes": [NODE, {**NODE, "lat": 0.0013}]})))
+        files["drive.csv"] = draw(_maybe_mangled(trace_csv_text(trace)))
+        for flag in sorted(draw(st.sets(st.sampled_from(sorted(_FLAG_VALUES))))):
+            flags += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+        clip = draw(st.sampled_from([None, "drive1", "nope"]))
+        flags += [] if clip is None else ["--clip", clip]
+    if command in ("eval", "sweep"):
+        files["gt.json"] = draw(_maybe_mangled(ground_truth_text()))
+        flags += ["--markdown"] if draw(st.booleans()) else []
+    if command == "sweep" and draw(st.booleans()):
+        flags += ["--ks", ",".join(draw(st.lists(st.sampled_from(_KS_PARTS), min_size=1, max_size=4)))]
+    return command, files, flags
+
+
+def _strict_json(line):
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+class TestFuzzedInput:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(run=cli_runs())
+    def test_exits_cleanly(self, run):
+        """Every run exits 0 with well-formed output, or 1 with one ``Error:`` line."""
+        command, files, flags = run
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, name) for name in files}
+            for name, data in files.items():
+                with open(paths[name], "wb") as f:
+                    f.write(data)
+            out = os.path.join(tmp, "out.json")
+            if command == "build":
+                args = ["build", paths["train.csv"], paths["train2.csv"], "-o", out]
+            else:
+                args = [command, paths["map.json"], paths["drive.csv"]]
+                args += [paths["gt.json"]] if command != "replay" else []
+            result = CliRunner().invoke(main, args + flags)
+            if result.exit_code == 1:
+                assert isinstance(result.exception, SystemExit), result.exception
+                assert result.output.startswith("Error: ") and result.output.count("\n") == 1, result.output
+                return
+            assert result.exit_code == 0, result.output
+            if command == "build":
+                assert result.output == f"{len(load_map(out))} nodes -> {out}\n"
+            elif command == "replay":
+                records = [_strict_json(line) for line in result.output.splitlines()]
+                assert records and all(isinstance(r["active"], bool) for r in records)
+            else:
+                lines = result.output.splitlines()
+                assert lines[0] in ("K_m\tprecision\trecall\tcorrect\tfalse\tmissed", "| Sampling Distance (m) | Precision | Recall |")

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import map_of, make_node, northbound_trace, offset, random_scenario
-from pedmap.advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, Checkpoint
+from pedmap import evaluation
+from pedmap.advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, Checkpoint, run_replay
 from pedmap.evaluation import (
     EvalCounts,
     GroundTruthWindow,
@@ -151,6 +152,20 @@ class TestSweep:
         trace, hotspot_map, windows = self.scenario()
         with pytest.raises(ValueError):
             sweep_sampling_distance(trace, hotspot_map, AdvisoryConfig(), [], windows)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_bad_k_fails_before_any_replay(self, monkeypatch, bad):
+        trace, hotspot_map, windows = self.scenario()
+        replayed = []
+
+        def recording(trace, hotspot_map, cfg, *rest):
+            replayed.append(cfg.sampling_distance)
+            return run_replay(trace, hotspot_map, cfg, *rest)
+
+        monkeypatch.setattr(evaluation, "run_replay", recording)
+        with pytest.raises(ValueError, match="sampling_distance"):
+            sweep_sampling_distance(trace, hotspot_map, AdvisoryConfig(), [2.0, 3.0, bad], windows)
+        assert replayed == []
 
     def test_recall_nesting_on_random_scenarios(self):
         rng = random.Random(55)

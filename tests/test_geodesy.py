@@ -40,6 +40,11 @@ class TestGeoPoint:
         assert GeoPoint(0.0, 359.0).lon == -1.0
         assert GeoPoint(0.0, 10.0).lon == 10.0
 
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lon_rejected(self, lon):
+        with pytest.raises(ValueError, match=f"longitude {lon} is not finite"):
+            GeoPoint(0.0, lon)
+
     @given(lats, st.floats(min_value=-1000, max_value=1000, allow_nan=False))
     def test_lon_always_in_range(self, lat, lon):
         p = GeoPoint(lat, lon)

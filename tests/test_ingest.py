@@ -290,8 +290,10 @@ class TestSerialization:
         assert restored.nodes == original.nodes
 
     def test_save_refuses_nan(self, tmp_path):
-        # GeoPoint normalizes a NaN longitude to NaN rather than rejecting it.
-        m = HotspotMap([HotspotNode(GeoPoint(1.5, math.nan), 2, 1000, "c")])
+        # GeoPoint rejects a NaN longitude, so plant one past its check.
+        point = GeoPoint(1.5, -2.5)
+        object.__setattr__(point, "lon", math.nan)
+        m = HotspotMap([HotspotNode(point, 2, 1000, "c")])
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_map(m, str(tmp_path / "map.json"))
 
