@@ -41,6 +41,13 @@ KMH_PER_MPS = 3.6
 # Timestamps are interpolated in floats, which hold integers exactly only up to here.
 MAX_TIMESTAMP_MS = 2**53
 
+# A finer grid is no use at GPS accuracy, and one near 0 m never finishes.
+MIN_SAMPLING_DISTANCE_M = 0.01
+
+# An arc at most this far past the end of a trace still samples it: the
+# checkpoint grid stops here, and ``_sample`` rejects anything beyond.
+ARC_TOLERANCE_M = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class AdvisoryConfig:
@@ -69,8 +76,8 @@ class AdvisoryConfig:
             raise ValueError("reaction_time must be > 0")
         if self.safety_factor <= 0:
             raise ValueError("safety_factor must be > 0")
-        if self.sampling_distance <= 0:
-            raise ValueError("sampling_distance must be > 0")
+        if self.sampling_distance < MIN_SAMPLING_DISTANCE_M:
+            raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
         if self.friction + self.grade <= 0:
             raise ValueError("non-positive braking denominator (friction + grade)")
         if not 0 < self.heading_threshold <= 180:
@@ -194,7 +201,7 @@ def _sample(
     moving = -1  # latest moving segment at or before seg, else the first one
     heading_of = -1  # the segment ``heading`` was last computed from
     for arc in grid(total):
-        if arc < 0 or arc > total + 1e-9:
+        if arc < 0 or arc > total + ARC_TOLERANCE_M:
             raise ValueError(f"arc position {arc} outside trace [0, {total}]")
         while seg < last and arcs[seg] < arc and arcs[seg + 1] <= arc:
             seg += 1
@@ -233,13 +240,18 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     The grid is anchored at the trace start so that the checkpoint set for a
     multiple of K is a subset of the set for K, independent of GPS fix spacing.
     """
-    if sampling_distance <= 0:
-        raise ValueError("sampling_distance must be > 0")
+    if sampling_distance < MIN_SAMPLING_DISTANCE_M:
+        raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
     if len(trace.fixes) < 2:
         raise ValueError("trace needs at least 2 fixes")
 
     def grid(total: float) -> Iterable[float]:
-        return (i * sampling_distance for i in range(int(total / sampling_distance + 1e-9) + 1))
+        # The relative 1e-9 absorbs rounding in the division; the last arc
+        # must also fall within the absolute tolerance that ``_sample`` allows.
+        n = int(total / sampling_distance + 1e-9)
+        if n * sampling_distance > total + ARC_TOLERANCE_M:
+            n -= 1
+        return (i * sampling_distance for i in range(n + 1))
 
     return [Checkpoint(*sample) for sample in _sample(trace, grid)]
 
@@ -253,11 +265,18 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
     Active when any node with ``count >= min_count`` lies within the stopping
     distance and no more than ``heading_threshold`` degrees off the direction of
     travel. A node the vehicle is standing on counts as in front.
+
+    For thresholds up to 90 degrees the index is given the heading, and skips
+    nodes and whole balls that lie behind the vehicle by a half-space test.
+    That test keeps every node within 90 degrees and every node within
+    ``COINCIDENT_M``, and each hit still passes through the rule below, so
+    the decision is the one a scan of all nodes gives.
     """
     radius = stopping_distance(cp.speed, cfg)
     nearest_d: Optional[float] = None
     nearest_sep: Optional[float] = None
-    for hit in hotspot_map.index.iter_within(cp.position, radius):
+    heading = cp.heading if cfg.heading_threshold <= 90 else None
+    for hit in hotspot_map.index.iter_within(cp.position, radius, heading):
         node = hotspot_map.nodes[hit.node_index]
         if node.count < cfg.min_count:
             continue

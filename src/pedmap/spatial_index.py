@@ -20,6 +20,17 @@ key and points tie in index order, so hits come lazily in
 ``(distance, node_index)`` order, with the distances a linear scan reports,
 and a caller may stop at the first one it wants.
 
+A query may also carry a heading, and then what lies behind it is skipped.
+Let ``t`` be the unit tangent of the heading at the query point ``p``. The
+initial bearing toward a point ``q`` is the direction of ``q - (p·q)p``, and
+``t·p = 0``, so the bearing is at most 90 degrees off the heading exactly when
+``t·q >= 0``. Over a ball, ``t·q`` is at most ``t·c + r``, the inner-product
+ball bound (Ram & Gray 2012, "Maximum inner-product search using cone
+trees"). A ball whose bound is below ``-_CHORD_SLACK`` is skipped, and so is a
+point whose ``t·q`` is. That slack is about 1e4 times the bearing's rounding
+at any distance, so no point the bearing puts within 90 degrees is skipped.
+Nor is any point within 6 µm of ``p``, where ``|t·q|`` is below the slack.
+
 Construction splits a node by the farthest-point-pair heuristic: take the
 node's first point, find its farthest point A, find A's farthest point B, and
 partition by proximity to A versus B, all by dot products. Seeding with the
@@ -34,7 +45,7 @@ from heapq import heappop, heappush
 from math import asin, cos, dist, hypot, inf, pi, radians, sin, sqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
+from .geodesy import EARTH_RADIUS_M, GeoPoint, Heading, haversine_distance
 
 DEFAULT_LEAF_SIZE = 16
 
@@ -52,6 +63,15 @@ def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
     phi, lam = radians(p.lat), radians(p.lon)
     c = cos(phi)
     return c * cos(lam), c * sin(lam), sin(phi)
+
+
+def _tangent(p: GeoPoint, heading: Heading) -> tuple[float, float, float]:
+    # cos h · north + sin h · east at p: its dot product with a point's vector
+    # has the sign of the cosine of that point's bearing off the heading.
+    phi, lam, h = radians(p.lat), radians(p.lon), radians(heading.degrees)
+    sin_phi, cos_phi, sin_lam, cos_lam = sin(phi), cos(phi), sin(lam), cos(lam)
+    ch, sh = cos(h), sin(h)
+    return -ch * sin_phi * cos_lam - sh * sin_lam, -ch * sin_phi * sin_lam + sh * cos_lam, ch * cos_phi
 
 
 class NeighborResult(NamedTuple):
@@ -158,22 +178,33 @@ class BallTree:
             stack.append((ball.right, right_idx))
         return root
 
-    def iter_within(self, query: GeoPoint, radius_m: float) -> Iterator[NeighborResult]:
+    def iter_within(self, query: GeoPoint, radius_m: float, heading: Optional[Heading] = None) -> Iterator[NeighborResult]:
         """Lazily yield the points within ``radius_m`` meters in ``(distance, node_index)`` order.
+
+        With a ``heading``, points that lie behind it may be left out, whole
+        balls of them at a time: a ball is skipped when ``t·c + r`` is below
+        ``-_CHORD_SLACK``, and a point when ``t·q`` is, where ``t`` is the unit
+        tangent of the heading at ``query``. The bearing toward ``q`` is within
+        90 degrees of the heading exactly when ``t·q >= 0``, so every point
+        within 90 degrees, and every point within 6 µm of ``query``, is still
+        yielded, in the same order.
 
         A negative radius raises here, not at the first ``next()``; a NaN radius yields nothing.
         """
         if radius_m < 0:
             raise ValueError("radius must be >= 0")
-        return self._browse(query, radius_m)
+        return self._browse(query, radius_m, heading)
 
-    def _browse(self, query: GeoPoint, radius_m: float) -> Iterator[NeighborResult]:
+    def _browse(self, query: GeoPoint, radius_m: float, heading: Optional[Heading]) -> Iterator[NeighborResult]:
         # Heap entries are (key, kind, tiebreak, ball), kind 0 for a ball and 1
         # for a point; ``<=`` tests keep a NaN radius from admitting anything.
         if self._root is None:
             return
         pts, xs, ys, zs = self._points, self._xs, self._ys, self._zs
         q = qx, qy, qz = _unit_vector(query)
+        # With no heading t is zero and the half-space tests never fire.
+        tx, ty, tz = _tangent(query, heading) if heading is not None else (0.0, 0.0, 0.0)
+        behind = -_CHORD_SLACK
         # Radii of half the circumference or more reach the whole sphere.
         chord_r = 2.0 * sin(min(radius_m / _TWO_R, pi / 2))
         reach = chord_r + _CHORD_SLACK
@@ -187,13 +218,19 @@ class BallTree:
                 yield NeighborResult(i, key)
             elif ball.indices is None:
                 for child in (ball.left, ball.right):
+                    cx, cy, cz = child.center
+                    if tx * cx + ty * cy + tz * cz + child.radius < behind:
+                        continue
                     lb = dist(q, child.center) - child.radius - _CHORD_SLACK
                     if lb <= chord_r:
                         seq += 1
                         heappush(heap, (_TWO_R * asin(lb * 0.5) if lb > 0.0 else 0.0, 0, seq, child))
             else:
                 for i in ball.indices:
-                    dx, dy, dz = qx - xs[i], qy - ys[i], qz - zs[i]
+                    x, y, z = xs[i], ys[i], zs[i]
+                    if tx * x + ty * y + tz * z < behind:
+                        continue
+                    dx, dy, dz = qx - x, qy - y, qz - z
                     if dx * dx + dy * dy + dz * dz <= reach_sq:
                         d = haversine_distance(query, pts[i])
                         if d <= radius_m:

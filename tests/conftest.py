@@ -26,6 +26,17 @@ def offset(point: GeoPoint, north_m: float = 0.0, east_m: float = 0.0) -> GeoPoi
     return GeoPoint(lat, lon)
 
 
+def destination(point: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
+    """The point ``distance_m`` along the great circle leaving ``point`` at ``bearing_deg``."""
+    phi, lam = math.radians(point.lat), math.radians(point.lon)
+    theta, delta = math.radians(bearing_deg), distance_m / EARTH_RADIUS_M
+    lat = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(theta))
+    lon = lam + math.atan2(
+        math.sin(theta) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(lat)
+    )
+    return GeoPoint(math.degrees(lat), math.degrees(lon))
+
+
 def northbound_trace(
     start: GeoPoint,
     length_m: float,

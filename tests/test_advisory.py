@@ -7,11 +7,13 @@ from bisect import bisect_left
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import map_of, make_node, northbound_trace, offset, random_scenario
+from conftest import destination, map_of, make_node, northbound_trace, offset, random_scenario
 from pedmap import advisory, evaluation, spatial_index
 from pedmap.advisory import (
+    ARC_TOLERANCE_M,
     COINCIDENT_M,
     KMH_PER_MPS,
+    MIN_SAMPLING_DISTANCE_M,
     AdvisoryConfig,
     AdvisoryDecision,
     AdvisoryTimeline,
@@ -72,6 +74,12 @@ class TestAdvisoryConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AdvisoryConfig(**kwargs)
+
+    @pytest.mark.parametrize("k", [1e-300, 0.0099])
+    def test_sampling_distance_floor(self, k):
+        with pytest.raises(ValueError, match=r"^sampling_distance must be >= 0\.01$"):
+            AdvisoryConfig(sampling_distance=k)
+        assert AdvisoryConfig(sampling_distance=MIN_SAMPLING_DISTANCE_M).sampling_distance == 0.01
 
     @pytest.mark.parametrize(
         "name", ["reaction_time", "friction", "grade", "safety_factor", "sampling_distance", "heading_threshold"]
@@ -235,6 +243,8 @@ class TestCheckpoints:
     def test_bad_sampling_distance(self):
         with pytest.raises(ValueError):
             checkpoints(self.make_trace(50), 0.0)
+        with pytest.raises(ValueError, match="must be >= 0.01"):
+            checkpoints(self.make_trace(50), 1e-300)
 
     def test_parked_start(self):
         trace = parked_start_trace()
@@ -333,19 +343,15 @@ class TestCheckpointsOracle:
             fixes = [f.position for f in trace.fixes]
             moving = [j for j in range(len(fixes) - 1) if not coincident(fixes[j], fixes[j + 1])]
             expected = []
-            try:
-                for i in range(int(arcs[-1] / k + 1e-9) + 1):
-                    try:
-                        expected.append(Checkpoint(i * k, *kinematics_by_bisect(trace, arcs, i * k)))
-                    except ValueError as exc:
-                        if "degenerate" not in str(exc):
-                            raise
-                        expected.append(None)  # in a parked start: the reference has no heading
-            except ValueError as exc:
-                assert "outside trace" in str(exc)
-                with pytest.raises(ValueError, match="outside trace"):
-                    checkpoints(trace, k)
-                return
+            for i in range(int(arcs[-1] / k + 1e-9) + 1):
+                if i * k > arcs[-1] + ARC_TOLERANCE_M:
+                    break  # the grid ends where the sampler's bound does
+                try:
+                    expected.append(Checkpoint(i * k, *kinematics_by_bisect(trace, arcs, i * k)))
+                except ValueError as exc:
+                    if "degenerate" not in str(exc):
+                        raise
+                    expected.append(None)  # in a parked start: the reference has no heading
             if not moving:
                 with pytest.raises(ValueError, match="degenerate"):
                     checkpoints(trace, k)
@@ -362,6 +368,42 @@ class TestCheckpointsOracle:
                 assert cp.heading == first_heading
             else:
                 assert cp == want
+
+
+def two_fix_trace() -> DriveTrace:
+    """One northbound segment, whose length tests patch."""
+    return DriveTrace((TraceFix(0, GeoPoint(0, 0)), TraceFix(10_000, GeoPoint(0.0001, 0))), "c")
+
+
+class TestGridTolerance:
+    def test_drive_just_short_of_a_multiple_replays(self, monkeypatch):
+        # 3e-9 m short of 2 K: inside the grid's relative rounding guard at
+        # K=5 (5e-9 m), but past the sampler's absolute tolerance.
+        monkeypatch.setattr(advisory, "haversine_distance", lambda a, b: 10 - 3e-9)
+        trace = two_fix_trace()
+        assert [cp.arc_position for cp in checkpoints(trace, 5.0)] == [0.0, 5.0]
+        timeline = run_replay(trace, HotspotMap(), AdvisoryConfig(sampling_distance=5.0))
+        assert [d.checkpoint.arc_position for d in timeline.decisions] == [0.0, 5.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.one_of(st.sampled_from([MIN_SAMPLING_DISTANCE_M, 0.5, 1.0, 2.0, 5.0, 7.5]), st.floats(MIN_SAMPLING_DISTANCE_M, 50)),
+        multiple=st.integers(0, 400),
+        short=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, -1.0]), st.floats(-2, 2)),
+    )
+    def test_every_grid_arc_passes_the_sample_bound(self, k, multiple, short):
+        # Lengths near a multiple of K, short of it by up to twice the larger
+        # of the two tolerances, 1e-9 m and 1e-9 K.
+        length = multiple * k - short * 1e-9 * max(1.0, k)
+        assume(length >= 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(advisory, "haversine_distance", lambda a, b: length)
+            arcs = [cp.arc_position for cp in checkpoints(two_fix_trace(), k)]
+        assert all(arc <= length + ARC_TOLERANCE_M for arc in arcs)
+        # The grid that used to be sampled, minus a last arc that used to
+        # raise: every drive that replayed keeps its checkpoints.
+        before = [i * k for i in range(int(length / k + 1e-9) + 1)]
+        assert arcs == (before if before[-1] <= length + ARC_TOLERANCE_M else before[:-1])
 
 
 class TestEvaluateCheckpoint:
@@ -416,6 +458,16 @@ class TestEvaluateCheckpoint:
             self.checkpoint_at(origin, heading_deg=180.0), hotspot_map, AdvisoryConfig()
         )
         assert decision.active
+        assert decision.nearest_front_heading_sep == 0.0
+
+    def test_node_half_a_micrometer_behind_counts_as_in_front(self):
+        # Within COINCIDENT_M, so dead ahead by the rule, though it lies behind
+        # the vehicle: the index must not prune it as behind.
+        origin = GeoPoint(0, 0)
+        hotspot_map = map_of(make_node(offset(origin, north_m=-0.5e-6)))
+        decision = evaluate_checkpoint(self.checkpoint_at(origin), hotspot_map, AdvisoryConfig())
+        assert decision.active
+        assert decision.nearest_front_distance < COINCIDENT_M
         assert decision.nearest_front_heading_sep == 0.0
 
     def test_nearest_in_front_wins_over_behind(self):
@@ -487,7 +539,106 @@ class TestEvaluateCheckpointOracle:
         assert evaluate_checkpoint(cp, hotspot_map, cfg) == decide_by_scan(cp, hotspot_map, cfg)
 
 
+# Checkpoints in both hemispheres, near both poles and on the antimeridian.
+_SITES = [
+    _ORIGIN,
+    GeoPoint(-33.9, 151.2),
+    GeoPoint(0.0, 100.0),
+    GeoPoint(89.99, 10.0),
+    GeoPoint(-89.99, -45.0),
+    GeoPoint(0.0, 180.0),
+    GeoPoint(-41.3, -180.0),
+    GeoPoint(12.5, 179.9999995),
+]
+_HEADINGS = st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0, 360, exclude_max=True))
+# Either side of 90 degrees, where the index starts to prune.
+_EDGE_THRESHOLDS = (89.999999, 90.0, 90.000001, 180.0)
+
+
+@st.composite
+def _nodes_around(draw, site, heading):
+    """Up to 40 nodes within 70 m: off the heading by any angle or by more
+    than 90 degrees, close to abeam, dead behind, on the site's own parallel
+    or meridian (exactly abeam on the equator), or within a few micrometers;
+    some of them repeated. Each map mixes a few of these kinds, so that maps
+    with nothing ahead are common."""
+    kind_of = st.sampled_from(["bearing", "rear", "abeam", "behind", "parallel", "meridian", "close"])
+    kinds = draw(st.one_of(kind_of.map(lambda kind: [kind]), st.sets(kind_of, min_size=2, max_size=3).map(sorted)))
+    nodes = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        d = draw(st.floats(1e-3, 70))  # only "close" nodes sit on the site
+        step = draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-7, 6e-4))  # degrees
+        if kind == "bearing":
+            position = destination(site, heading + draw(st.floats(0, 360)), d)
+        elif kind == "rear":
+            position = destination(site, heading + draw(st.floats(90, 270)), d)
+        elif kind == "abeam":
+            position = destination(site, heading + draw(st.sampled_from([90.0, 270.0])) + draw(st.floats(-1e-6, 1e-6)), d)
+        elif kind == "behind":
+            position = destination(site, heading + 180.0, d)
+        elif kind == "parallel":
+            position = GeoPoint(site.lat, site.lon + step)
+        elif kind == "meridian":
+            position = GeoPoint(max(-90.0, min(90.0, site.lat + step)), site.lon)
+        else:
+            position = destination(site, draw(st.floats(0, 360)), draw(st.floats(0, 2 * COINCIDENT_M)))
+        nodes.append(make_node(position, draw(st.integers(1, 3))))
+    repeats = draw(st.lists(st.integers(0, 39), max_size=10))
+    return nodes + [nodes[r] for r in repeats if r < len(nodes)]
+
+
+class TestBehindPruneOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        site=st.sampled_from(_SITES),
+        heading=_HEADINGS,
+        speed=st.floats(0, 120),
+        min_count=st.integers(1, 3),
+        heading_threshold=st.floats(0, 180, exclude_min=True),
+        leaf_size=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_matches_linear_scan(self, site, heading, speed, min_count, heading_threshold, leaf_size, data):
+        hotspot_map = HotspotMap(data.draw(_nodes_around(site, heading)))
+        hotspot_map.build_spatial_index(leaf_size=leaf_size)
+        cp = Checkpoint(0.0, site, Heading(heading), speed, 0)
+        for threshold in (heading_threshold, *_EDGE_THRESHOLDS):
+            cfg = AdvisoryConfig(min_count=min_count, heading_threshold=threshold)
+            assert evaluate_checkpoint(cp, hotspot_map, cfg) == decide_by_scan(cp, hotspot_map, cfg)
+
+
 class TestDecisionCost:
+    @pytest.mark.parametrize("heading_threshold", [90.0, 120.0])
+    def test_nodes_behind_cost_no_haversine_up_to_90_degrees(self, monkeypatch, heading_threshold):
+        # A dense map: every node is inside the 48.8 m radius and behind.
+        rng = random.Random(6)
+        nodes = [
+            make_node(offset(_ORIGIN, north_m=-rng.uniform(1, 45), east_m=rng.uniform(-15, 15)))
+            for _ in range(2000)
+        ]
+        hotspot_map = HotspotMap(nodes)
+        hotspot_map.index  # noqa: B018 - builds the tree before counting
+        cfg = AdvisoryConfig(heading_threshold=heading_threshold)
+        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0, 0)
+
+        calls = 0
+        real = haversine_distance
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(spatial_index, "haversine_distance", counting)
+        decision = evaluate_checkpoint(cp, hotspot_map, cfg)
+        assert decision == decide_by_scan(cp, hotspot_map, cfg)
+        if heading_threshold <= 90:
+            assert calls == 0 and not decision.active
+        else:
+            # Above 90 degrees nothing is pruned as behind: hits are drawn as before.
+            assert calls > 0 and decision.active
+
     def test_decision_stops_before_full_radius_search(self, monkeypatch):
         # A dense map: every node is inside the 48.8 m radius and in front.
         rng = random.Random(5)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from conftest import M_PER_DEG_LAT, northbound_trace
+from pedmap import evaluation
 from pedmap.cli import main
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import load_map, map_from_geojson
@@ -132,6 +133,15 @@ class TestReplay:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_sampling_distance_below_floor_rejected(self, runner, scenario_files):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        result = runner.invoke(
+            main, ["replay", str(map_file), str(scenario_files / "drive.csv"), "--sampling-distance", "1e-300"]
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: sampling_distance must be >= 0.01\n"
+        assert isinstance(result.exception, SystemExit)
+
     def test_infinite_stopping_distance_fails_cleanly(self, runner, scenario_files):
         # The radius overflows to inf, which the JSONL timeline cannot carry.
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
@@ -251,6 +261,18 @@ class TestEvalAndSweep:
         assert result.exit_code == 1
         assert result.output == "Error: sampling_distance must be finite\n"
         assert isinstance(result.exception, SystemExit)
+
+    def test_ks_below_floor_rejected_before_any_replay(self, runner, scenario_files, monkeypatch):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        replayed = []
+        monkeypatch.setattr(evaluation, "run_replay", lambda *args: replayed.append(args))
+        result = runner.invoke(
+            main,
+            ["sweep", str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json"), "--ks", "2,1e-300"],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: sampling_distance must be >= 0.01\n"
+        assert replayed == []
 
     def test_byte_identical_reports(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
@@ -396,19 +418,19 @@ def _maybe_mangled(text):
 
 
 # Flag values click itself parses, so each run reaches the program's own checks.
-# The sampling distances stay at or above 0.5 m: far smaller ones are valid but
-# make a replay of millions of checkpoints.
+# The valid sampling distances stay at or above 0.5 m: far smaller ones make a
+# replay of millions of checkpoints. 1e-300 is below the floor and refused.
 _FLOAT_FLAGS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.5", "2", "45", "180", "1e308"]
 _FLAG_VALUES = {
     "--reaction-time": _FLOAT_FLAGS,
     "--friction": _FLOAT_FLAGS,
     "--grade": _FLOAT_FLAGS,
     "--safety-factor": _FLOAT_FLAGS,
-    "--sampling-distance": ["nan", "inf", "-1", "0", "0.5", "2", "5", "1e308"],
+    "--sampling-distance": ["nan", "inf", "-1", "0", "0.5", "2", "5", "1e308", "1e-300"],
     "--heading-threshold": _FLOAT_FLAGS,
     "--min-count": ["-1", "0", "1", "2", "99999999999999999999"],
 }
-_KS_PARTS = ["2", "3", "0.5", "5", "1e308", "nan", "inf", "-1", "0", "abc", " ", ""]
+_KS_PARTS = ["2", "3", "0.5", "5", "1e308", "nan", "inf", "-1", "0", "abc", " ", "", "1e-300"]
 
 
 @st.composite

@@ -153,7 +153,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_sampling_distance(trace, hotspot_map, AdvisoryConfig(), [], windows)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 1e-300])
     def test_bad_k_fails_before_any_replay(self, monkeypatch, bad):
         trace, hotspot_map, windows = self.scenario()
         replayed = []

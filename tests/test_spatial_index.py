@@ -6,8 +6,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import destination
 from pedmap import spatial_index
-from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, haversine_distance
+from pedmap.advisory import COINCIDENT_M
+from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
 from pedmap.spatial_index import _unit_vector, build_index, nearest_brute_force
 
 
@@ -308,6 +310,51 @@ class TestGlobalQueries:
         radius = data.draw(st.one_of(st.sampled_from(distance), st.floats(0, 2.1e7)))
         scan = sorted((d, i) for i, d in enumerate(distance) if d <= radius)
         assert [(h.distance, h.node_index) for h in tree.iter_within(query, radius)] == scan
+
+
+@st.composite
+def _headed_query(draw):
+    """A query anywhere, at a pole or on the antimeridian, a heading, and
+    points around it at every bearing (abeam and dead behind included) and at
+    every distance (micrometers to past the antipode), some repeated."""
+    query = draw(st.one_of(_anywhere, st.sampled_from([GeoPoint(90, 0), GeoPoint(-89.99, 30), GeoPoint(-12.5, -180)])))
+    heading = draw(st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0, 360, exclude_max=True)))
+    off_heading = st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0, 360))
+    distances = st.one_of(st.floats(0, 2 * COINCIDENT_M), st.floats(0, 100), st.floats(0, 2.0e7))
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.builds(lambda b, d: destination(query, heading + b, d), off_heading, distances),
+                _anywhere,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    return points, build_index(points, leaf_size=draw(st.integers(1, 8))), query, Heading(heading)
+
+
+class TestHeadingPrune:
+    @settings(max_examples=400, deadline=None)
+    @given(_headed_query(), st.data())
+    def test_iter_within_keeps_every_point_ahead_in_order(self, case, data):
+        # With a heading the traversal may leave out points more than 90
+        # degrees off it; it must still yield every other in-radius point,
+        # and every point within COINCIDENT_M, in (distance, index) order.
+        points, tree, query, heading = case
+        distance = [haversine_distance(query, p) for p in points]
+        radius = data.draw(st.one_of(st.sampled_from(distance), st.floats(0, 2.1e7), st.just(math.inf)))
+        scan = sorted((d, i) for i, d in enumerate(distance) if d <= radius)
+        got = [(h.distance, h.node_index) for h in tree.iter_within(query, radius, heading)]
+        assert got == sorted(got)
+        assert set(got) <= set(scan)
+        ahead = {
+            (d, i)
+            for d, i in scan
+            if d < COINCIDENT_M or angular_separation(heading, initial_bearing(query, points[i])) <= 90.0
+        }
+        assert ahead <= set(got)
 
 
 class TestQueryCost:
