@@ -1,62 +1,3 @@
 """Pedestrian hotspot maps from repeated drive logs, with replayed driver advisories."""
 
-from .advisory import (
-    AdvisoryConfig,
-    AdvisoryDecision,
-    AdvisoryTimeline,
-    Checkpoint,
-    DriveTrace,
-    TraceFix,
-    Transition,
-    checkpoints,
-    estimate_kinematics,
-    evaluate_checkpoint,
-    parse_trace_csv,
-    run_replay,
-    stopping_distance,
-    timeline_to_jsonl,
-    trace_arc_length,
-)
-from .evaluation import (
-    EvalCounts,
-    EvalReport,
-    EvalRow,
-    GroundTruthWindow,
-    load_ground_truth,
-    match_advisories,
-    precision,
-    recall,
-    report_to_markdown,
-    report_to_tsv,
-    sweep_sampling_distance,
-)
-from .geodesy import (
-    EARTH_RADIUS_M,
-    GeoPoint,
-    Heading,
-    angular_separation,
-    haversine_distance,
-    initial_bearing,
-    interpolate_along,
-)
-from .ingest import (
-    DetectionRecord,
-    HotspotMap,
-    HotspotNode,
-    Interval,
-    ParseError,
-    aggregate_interval,
-    build_map,
-    load_map,
-    map_from_dict,
-    map_from_geojson,
-    map_to_dict,
-    map_to_geojson,
-    merge_maps,
-    parse_detection_log,
-    save_map,
-    split_intervals,
-)
-from .spatial_index import BallTree, NeighborResult, build_index, nearest_brute_force
-
 __version__ = "0.1.0"

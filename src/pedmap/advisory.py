@@ -2,12 +2,13 @@
 meters, whether the driver should be warned.
 
 A checkpoint is an interpolated along-track sample of the drive carrying
-position, heading, and speed, taken in one forward pass over the trace; a stop
-keeps the heading of the move before it (or after it, if the drive begins
-parked). At each checkpoint the stopping distance for the current speed
-defines a search radius; the advisory is active when any hotspot node with
-enough sightings lies inside that radius ahead of the vehicle (heading
-separation at most the configured threshold, 90 degrees by default).
+position, heading, and speed. ``checkpoints`` takes all of a drive's
+checkpoints in one forward pass over the trace; a stop keeps the heading of
+the move before it (or after it, if the drive begins parked). At each
+checkpoint the stopping distance for the current speed defines a search
+radius; the advisory is active when any hotspot node with enough sightings
+lies inside that radius ahead of the vehicle (heading separation at most the
+configured threshold, 90 degrees by default).
 The advisory is preemptive: it comes on before the hotspot and drops as soon
 as every in-radius node has fallen behind.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from math import isfinite
-from typing import IO, Callable, Iterable, Iterator, Literal, Optional, Union
+from typing import Iterable, Iterator, Literal, Optional
 
 from .geodesy import (
     GeoPoint,
@@ -44,8 +45,7 @@ MAX_TIMESTAMP_MS = 2**53
 # A finer grid is no use at GPS accuracy, and one near 0 m never finishes.
 MIN_SAMPLING_DISTANCE_M = 0.01
 
-# An arc at most this far past the end of a trace still samples it: the
-# checkpoint grid stops here, and ``_sample`` rejects anything beyond.
+# The checkpoint grid takes an arc at most this far past the end of a trace.
 ARC_TOLERANCE_M = 1e-9
 
 
@@ -187,22 +187,40 @@ def _cumulative_arcs(trace: DriveTrace) -> list[float]:
     return arcs
 
 
-def _sample(
-    trace: DriveTrace, grid: Callable[[float], Iterable[float]]
-) -> Iterator[tuple[float, GeoPoint, Heading, float, int]]:
-    """Arc, position, heading, speed (km/h) and timestamp at each of the ascending
-    arcs ``grid(total_length)``, in one forward walk over the segments. An arc
-    exactly on a fix belongs to the segment starting there, stationary included."""
+def trace_arc_length(trace: DriveTrace) -> float:
+    """Total along-track length of the trace, in meters."""
+    return _cumulative_arcs(trace)[-1]
+
+
+def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]:
+    """Checkpoints on the fixed arc-length grid 0, K, 2K, ... within the trace,
+    taken in one forward walk over its segments.
+
+    The grid is anchored at the trace start so that the checkpoint set for a
+    multiple of K is a subset of the set for K, independent of GPS fix spacing.
+    An arc exactly on a fix belongs to the segment starting there, stationary
+    included, and the heading is that of the latest moving segment (the first
+    one, while the drive begins parked).
+    """
+    if sampling_distance < MIN_SAMPLING_DISTANCE_M:
+        raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
     fixes = trace.fixes
+    if len(fixes) < 2:
+        raise ValueError("trace needs at least 2 fixes")
     arcs = _cumulative_arcs(trace)
     total, last = arcs[-1], len(arcs) - 2
+    # The relative 1e-9 absorbs rounding in the division; the last arc
+    # must also fall within ARC_TOLERANCE_M of the end.
+    n = int(total / sampling_distance + 1e-9)
+    if n * sampling_distance > total + ARC_TOLERANCE_M:
+        n -= 1
     seg = 0
     scanned = 0  # segments [0, scanned) have been checked for motion
     moving = -1  # latest moving segment at or before seg, else the first one
     heading_of = -1  # the segment ``heading`` was last computed from
-    for arc in grid(total):
-        if arc < 0 or arc > total + ARC_TOLERANCE_M:
-            raise ValueError(f"arc position {arc} outside trace [0, {total}]")
+    result = []
+    for i in range(n + 1):
+        arc = i * sampling_distance
         while seg < last and arcs[seg] < arc and arcs[seg + 1] <= arc:
             seg += 1
         while scanned <= seg or moving < 0:
@@ -220,40 +238,8 @@ def _sample(
         position = interpolate_along(a.position, b.position, frac)
         timestamp = round(a.timestamp_ms + frac * (b.timestamp_ms - a.timestamp_ms))
         speed_kmh = seg_len / ((b.timestamp_ms - a.timestamp_ms) / 1000.0) * KMH_PER_MPS
-        yield arc, position, heading, speed_kmh, timestamp
-
-
-def estimate_kinematics(trace: DriveTrace, arc_position: float) -> tuple[GeoPoint, Heading, float]:
-    """Position, heading, and speed (km/h) at an along-track arc position."""
-    ((_, position, heading, speed, _),) = _sample(trace, lambda total: (arc_position,))
-    return position, heading, speed
-
-
-def trace_arc_length(trace: DriveTrace) -> float:
-    """Total along-track length of the trace, in meters."""
-    return _cumulative_arcs(trace)[-1]
-
-
-def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]:
-    """Checkpoints on the fixed arc-length grid 0, K, 2K, ... within the trace.
-
-    The grid is anchored at the trace start so that the checkpoint set for a
-    multiple of K is a subset of the set for K, independent of GPS fix spacing.
-    """
-    if sampling_distance < MIN_SAMPLING_DISTANCE_M:
-        raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
-    if len(trace.fixes) < 2:
-        raise ValueError("trace needs at least 2 fixes")
-
-    def grid(total: float) -> Iterable[float]:
-        # The relative 1e-9 absorbs rounding in the division; the last arc
-        # must also fall within the absolute tolerance that ``_sample`` allows.
-        n = int(total / sampling_distance + 1e-9)
-        if n * sampling_distance > total + ARC_TOLERANCE_M:
-            n -= 1
-        return (i * sampling_distance for i in range(n + 1))
-
-    return [Checkpoint(*sample) for sample in _sample(trace, grid)]
+        result.append(Checkpoint(arc, position, heading, speed_kmh, timestamp))
+    return result
 
 
 # --- advisory decision ------------------------------------------------------
@@ -320,8 +306,8 @@ def with_sampling_distance(cfg: AdvisoryConfig, sampling_distance: float) -> Adv
 # --- I/O ---------------------------------------------------------------------
 
 
-def parse_trace_csv(source: Union[IO[bytes], IO[str], Iterable[str]]) -> list[DriveTrace]:
-    """Parse a test-drive CSV into one trace per clip, ordered by clip id.
+def parse_trace_csv(source: Iterable[str]) -> list[DriveTrace]:
+    """Parse test-drive CSV text into one trace per clip, ordered by clip id.
 
     The header must be exactly ``timestamp,latitude,longitude,clip_id``; rows
     are checked as in ``ingest.parse_detection_log``.

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import click
 
-from . import advisory, evaluation, ingest
+from . import __version__, advisory, evaluation, ingest
 
 
 @contextmanager
@@ -49,6 +49,16 @@ def _load_trace(path: str, clip: Optional[str]) -> advisory.DriveTrace:
         return traces[0]
 
 
+def _write(text: str, out_path: Optional[str], summary: str) -> None:
+    """Write ``text`` to ``out_path`` and echo ``summary -> out_path``, or write it to stdout."""
+    if out_path:
+        with _failing(), open(out_path, "w", encoding="utf-8") as f:
+            f.write(text)
+        click.echo(f"{summary} -> {out_path}")
+    else:
+        sys.stdout.write(text)
+
+
 def config_options(command):
     """Advisory flags shared by replay/eval/sweep, mirroring AdvisoryConfig."""
     for decorator in reversed(
@@ -67,7 +77,7 @@ def config_options(command):
 
 
 @click.group()
-@click.version_option(package_name="pedmap")
+@click.version_option(version=__version__)
 def main() -> None:
     """Pedestrian hotspot maps from drive logs, with replayed driver advisories."""
 
@@ -112,13 +122,8 @@ def replay(map_file: str, trace_csv: str, out_path: Optional[str], clip: Optiona
         hotspot_map = _load_map(map_file)
         timeline = advisory.run_replay(_load_trace(trace_csv, clip), hotspot_map, cfg)
         lines = "".join(line + "\n" for line in advisory.timeline_to_jsonl(timeline))
-    if out_path:
-        with _failing(), open(out_path, "w", encoding="utf-8") as f:
-            f.write(lines)
-        on_count = sum(1 for t in timeline.transitions if t.kind == "ON")
-        click.echo(f"{len(timeline.decisions)} checkpoints, {on_count} advisories -> {out_path}")
-    else:
-        sys.stdout.write(lines)
+    on_count = sum(1 for t in timeline.transitions if t.kind == "ON")
+    _write(lines, out_path, f"{len(timeline.decisions)} checkpoints, {on_count} advisories")
 
 
 def _windows_for_trace(gt_path: str, trace: advisory.DriveTrace) -> list[evaluation.GroundTruthWindow]:
@@ -131,9 +136,26 @@ def _windows_for_trace(gt_path: str, trace: advisory.DriveTrace) -> list[evaluat
         return matching
 
 
-def _emit_report(report: evaluation.EvalReport, markdown: bool) -> None:
-    text = evaluation.report_to_markdown(report) if markdown else evaluation.report_to_tsv(report)
-    sys.stdout.write(text)
+def _score(
+    map_file: str, trace_csv: str, ground_truth: str, clip: Optional[str], markdown: bool, ks: Optional[str], **cfg_kwargs
+) -> None:
+    """Score replays at each of the comma-separated ``ks``, or at the configured
+    sampling distance when ``ks`` is None, and write the report to stdout."""
+    with _failing():
+        cfg = advisory.AdvisoryConfig(**cfg_kwargs)
+        k_values = [cfg.sampling_distance]
+        if ks is not None:
+            try:
+                k_values = [float(part) for part in ks.split(",") if part.strip()]
+            except ValueError:
+                raise ValueError(f"bad --ks value {ks!r}") from None
+            if not k_values or any(k <= 0 for k in k_values):
+                raise ValueError("--ks needs positive sampling distances")
+        hotspot_map = _load_map(map_file)
+        trace = _load_trace(trace_csv, clip)
+        windows = _windows_for_trace(ground_truth, trace)
+        report = evaluation.sweep_sampling_distance(trace, hotspot_map, cfg, k_values, windows)
+    sys.stdout.write(evaluation.report_to_markdown(report) if markdown else evaluation.report_to_tsv(report))
 
 
 @main.command("eval")
@@ -143,15 +165,9 @@ def _emit_report(report: evaluation.EvalReport, markdown: bool) -> None:
 @click.option("--clip", help="Clip id to evaluate when the trace CSV holds several.")
 @click.option("--markdown", is_flag=True, help="Render a Markdown table instead of TSV.")
 @config_options
-def eval_cmd(map_file: str, trace_csv: str, ground_truth: str, clip: Optional[str], markdown: bool, **cfg_kwargs) -> None:
+def eval_cmd(**kwargs) -> None:
     """Score one replay against ground-truth windows at a single sampling distance."""
-    with _failing():
-        cfg = advisory.AdvisoryConfig(**cfg_kwargs)
-        hotspot_map = _load_map(map_file)
-        trace = _load_trace(trace_csv, clip)
-        windows = _windows_for_trace(ground_truth, trace)
-        report = evaluation.sweep_sampling_distance(trace, hotspot_map, cfg, [cfg.sampling_distance], windows)
-    _emit_report(report, markdown)
+    _score(ks=None, **kwargs)
 
 
 @main.command()
@@ -162,21 +178,9 @@ def eval_cmd(map_file: str, trace_csv: str, ground_truth: str, clip: Optional[st
 @click.option("--clip", help="Clip id to evaluate when the trace CSV holds several.")
 @click.option("--markdown", is_flag=True, help="Render a Markdown table instead of TSV.")
 @config_options
-def sweep(map_file: str, trace_csv: str, ground_truth: str, ks: str, clip: Optional[str], markdown: bool, **cfg_kwargs) -> None:
+def sweep(**kwargs) -> None:
     """Score replays across a list of sampling distances."""
-    with _failing():
-        cfg = advisory.AdvisoryConfig(**cfg_kwargs)
-        try:
-            k_values = [float(part) for part in ks.split(",") if part.strip()]
-        except ValueError:
-            raise ValueError(f"bad --ks value {ks!r}") from None
-        if not k_values or any(k <= 0 for k in k_values):
-            raise ValueError("--ks needs positive sampling distances")
-        hotspot_map = _load_map(map_file)
-        trace = _load_trace(trace_csv, clip)
-        windows = _windows_for_trace(ground_truth, trace)
-        report = evaluation.sweep_sampling_distance(trace, hotspot_map, cfg, k_values, windows)
-    _emit_report(report, markdown)
+    _score(**kwargs)
 
 
 @main.command()
@@ -186,12 +190,7 @@ def export(map_file: str, out_path: Optional[str]) -> None:
     """Export a hotspot map as a GeoJSON FeatureCollection of points."""
     hotspot_map = _load_map(map_file)
     text = json.dumps(ingest.map_to_geojson(hotspot_map), indent=2, allow_nan=False) + "\n"
-    if out_path:
-        with _failing(), open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
-        click.echo(f"{len(hotspot_map)} features -> {out_path}")
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path, f"{len(hotspot_map)} features")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import inf
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Optional, Sequence
 
 from .advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, DriveTrace, run_replay, with_sampling_distance
 from .ingest import HotspotMap
@@ -147,12 +147,12 @@ def sweep_sampling_distance(
 # --- I/O ---------------------------------------------------------------------
 
 
-def load_ground_truth(source: Union[IO[str], IO[bytes], str]) -> list[GroundTruthWindow]:
-    """Read ground-truth windows from a JSON array, sorted by (clip_id, start_m).
+def load_ground_truth(source: IO[str]) -> list[GroundTruthWindow]:
+    """Read ground-truth windows from a JSON array in a text file, sorted by (clip_id, start_m).
 
     Windows within one clip must not overlap; ``_window`` gives the entry schema.
     """
-    data = json.load(source) if hasattr(source, "read") else json.loads(source)
+    data = json.load(source)
     if not isinstance(data, list):
         raise ValueError("ground truth must be a JSON array")
     windows = [_window(i, w) for i, w in enumerate(data)]

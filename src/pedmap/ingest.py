@@ -15,10 +15,9 @@ import csv
 import json
 import statistics
 from dataclasses import dataclass, field
-from io import TextIOWrapper
 from itertools import chain
 from math import isfinite
-from typing import IO, Iterable, Iterator, Literal, Optional, Union
+from typing import Iterable, Iterator, Literal, Optional
 
 from .geodesy import GeoPoint
 from .spatial_index import DEFAULT_LEAF_SIZE, BallTree
@@ -110,14 +109,10 @@ def _parse_int(text: str, what: str, line: int) -> int:
         raise ParseError(f"non-integer {what} {text!r}", line) from None
 
 
-def _read_rows(
-    source: Union[IO[bytes], IO[str], Iterable[str]], header: list[str]
-) -> Iterator[tuple[int, int, GeoPoint, list[str]]]:
-    """Yield ``(line, timestamp_ms, position, row)`` per non-blank row of a CSV (bytes
-    are read as UTF-8) whose header is exactly ``header``, starting with
-    ``timestamp,latitude,longitude``. Raises ParseError naming the bad line."""
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
-        source = TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
+def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, int, GeoPoint, list[str]]]:
+    """Yield ``(line, timestamp_ms, position, row)`` per non-blank row of CSV text
+    (a file opened with ``newline=""``, or lines) whose header is exactly ``header``,
+    starting with ``timestamp,latitude,longitude``. Raises ParseError naming the bad line."""
     reader = csv.reader(source)
     width = len(header)
     try:
@@ -146,8 +141,8 @@ def _read_rows(
         raise ParseError(str(exc), reader.line_num) from None
 
 
-def parse_detection_log(source: Union[IO[bytes], IO[str], Iterable[str]]) -> list[DetectionRecord]:
-    """Parse a training CSV into records sorted by (clip_id, timestamp).
+def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
+    """Parse training CSV text into records sorted by (clip_id, timestamp).
 
     The header must be exactly ``timestamp,latitude,longitude,pedestrian_count,clip_id``.
     Raises ParseError (with line number) on any malformed or out-of-range row.

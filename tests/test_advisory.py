@@ -21,7 +21,6 @@ from pedmap.advisory import (
     DriveTrace,
     TraceFix,
     checkpoints,
-    estimate_kinematics,
     evaluate_checkpoint,
     parse_trace_csv,
     run_replay,
@@ -144,12 +143,14 @@ class TestDriveTrace:
 
 
 class TestEstimateKinematics:
+    """Position, heading and speed at the checkpoints of a drive."""
+
     def test_start_of_trace(self):
         trace = northbound_trace(GeoPoint(0, 0), 100, 50)
-        position, heading, speed = estimate_kinematics(trace, 0.0)
-        assert position == trace.fixes[0].position
-        assert heading.degrees == pytest.approx(0.0, abs=1e-9)
-        assert speed == pytest.approx(50.0, abs=0.01)
+        cp = checkpoints(trace, 2.0)[0]
+        assert cp.position == trace.fixes[0].position
+        assert cp.heading.degrees == pytest.approx(0.0, abs=1e-9)
+        assert cp.speed == pytest.approx(50.0, abs=0.01)
 
     def test_speed_from_segment(self):
         # Two fixes 27.78 m apart over one second: 100 km/h.
@@ -157,8 +158,9 @@ class TestEstimateKinematics:
             (TraceFix(0, GeoPoint(0, 0)), TraceFix(1000, offset(GeoPoint(0, 0), north_m=27.78))),
             "c",
         )
-        _, _, speed = estimate_kinematics(trace, 10.0)
-        assert speed == pytest.approx(100.0, abs=0.1)
+        cp = checkpoints(trace, 10.0)[1]
+        assert cp.arc_position == 10.0
+        assert cp.speed == pytest.approx(100.0, abs=0.1)
 
     def test_stationary_mid_trace_carries_heading(self):
         p0 = GeoPoint(0, 0)
@@ -167,39 +169,36 @@ class TestEstimateKinematics:
             (TraceFix(0, p0), TraceFix(1000, p1), TraceFix(2000, p1), TraceFix(3000, offset(p1, north_m=10))),
             "c",
         )
-        position, heading, speed = estimate_kinematics(trace, 10.0)
-        assert position == p1
-        assert heading.degrees == pytest.approx(0.0, abs=1e-9)
-        assert speed == 0.0
-
-    def test_beyond_end_rejected(self):
-        trace = northbound_trace(GeoPoint(0, 0), 100, 50)
-        with pytest.raises(ValueError, match="arc position"):
-            estimate_kinematics(trace, trace_arc_length(trace) + 5.0)
+        cp = checkpoints(trace, 10.0)[1]
+        assert cp.arc_position == 10.0
+        assert cp.position == p1
+        assert cp.heading.degrees == pytest.approx(0.0, abs=1e-9)
+        assert cp.speed == 0.0
 
     def test_parked_trace_degenerate(self):
         p = GeoPoint(0, 0)
         trace = DriveTrace((TraceFix(0, p), TraceFix(1000, p), TraceFix(2000, p)), "c")
         with pytest.raises(ValueError, match="degenerate"):
-            estimate_kinematics(trace, 0.0)
+            checkpoints(trace, 2.0)
 
     def test_parked_start_takes_first_moving_heading(self):
         trace = parked_start_trace()
-        position, heading, speed = estimate_kinematics(trace, 0.0)
-        assert position == GeoPoint(0, 0)
-        assert heading == initial_bearing(GeoPoint(0, 0), GeoPoint(0.0001, 0))
-        assert speed == 0.0
-        _, heading, speed = estimate_kinematics(trace, 5.0)
-        assert heading.degrees == pytest.approx(0.0, abs=1e-9)
-        assert speed == pytest.approx(haversine_distance(GeoPoint(0, 0), GeoPoint(0.0001, 0)) * KMH_PER_MPS)
+        first, second = checkpoints(trace, 5.0)[:2]
+        assert first.position == GeoPoint(0, 0)
+        assert first.heading == initial_bearing(GeoPoint(0, 0), GeoPoint(0.0001, 0))
+        assert first.speed == 0.0
+        assert second.arc_position == 5.0
+        assert second.heading.degrees == pytest.approx(0.0, abs=1e-9)
+        assert second.speed == pytest.approx(haversine_distance(GeoPoint(0, 0), GeoPoint(0.0001, 0)) * KMH_PER_MPS)
 
     def test_interpolated_position(self):
         trace = DriveTrace(
             (TraceFix(0, GeoPoint(0, 0)), TraceFix(1000, GeoPoint(0.0002, 0))), "c"
         )
         total = trace_arc_length(trace)
-        position, _, _ = estimate_kinematics(trace, total / 2)
-        assert position.lat == pytest.approx(0.0001, rel=1e-9)
+        cp = checkpoints(trace, total / 2)[1]
+        assert cp.arc_position == total / 2
+        assert cp.position.lat == pytest.approx(0.0001, rel=1e-9)
 
 
 class TestCheckpoints:
@@ -345,7 +344,7 @@ class TestCheckpointsOracle:
             expected = []
             for i in range(int(arcs[-1] / k + 1e-9) + 1):
                 if i * k > arcs[-1] + ARC_TOLERANCE_M:
-                    break  # the grid ends where the sampler's bound does
+                    break  # the grid ends ARC_TOLERANCE_M past the trace
                 try:
                     expected.append(Checkpoint(i * k, *kinematics_by_bisect(trace, arcs, i * k)))
                 except ValueError as exc:
@@ -378,7 +377,7 @@ def two_fix_trace() -> DriveTrace:
 class TestGridTolerance:
     def test_drive_just_short_of_a_multiple_replays(self, monkeypatch):
         # 3e-9 m short of 2 K: inside the grid's relative rounding guard at
-        # K=5 (5e-9 m), but past the sampler's absolute tolerance.
+        # K=5 (5e-9 m), but past the grid's absolute ARC_TOLERANCE_M.
         monkeypatch.setattr(advisory, "haversine_distance", lambda a, b: 10 - 3e-9)
         trace = two_fix_trace()
         assert [cp.arc_position for cp in checkpoints(trace, 5.0)] == [0.0, 5.0]

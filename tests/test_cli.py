@@ -153,12 +153,14 @@ class TestReplay:
     def test_output_file(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         out = scenario_files / "timeline.jsonl"
-        result = runner.invoke(
-            main, ["replay", str(map_file), str(scenario_files / "drive.csv"), "-o", str(out)]
-        )
+        args = ["replay", str(map_file), str(scenario_files / "drive.csv")]
+        result = runner.invoke(main, [*args, "-o", str(out)])
         assert result.exit_code == 0
-        assert out.exists()
-        assert "advisories" in result.output
+        stdout = runner.invoke(main, args).output
+        assert out.read_text() == stdout
+        flags = [json.loads(line)["active"] for line in stdout.splitlines()]
+        ons = sum(1 for prev, cur in zip([False] + flags, flags) if cur and not prev)
+        assert result.output == f"{len(flags)} checkpoints, {ons} advisories -> {out}\n"
 
     def test_drive_that_begins_parked(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
@@ -216,6 +218,15 @@ class TestEvalAndSweep:
         )
         assert result.exit_code == 0
         assert result.output.splitlines()[1].startswith("3\t")
+
+    @pytest.mark.parametrize("flags", [[], ["--markdown"]], ids=["tsv", "markdown"])
+    def test_eval_is_a_single_k_sweep(self, runner, scenario_files, flags):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        inputs = [str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json"), *flags]
+        evaluated = runner.invoke(main, ["eval", *inputs, "--sampling-distance", "3"])
+        swept = runner.invoke(main, ["sweep", *inputs, "--ks", "3"])
+        assert evaluated.exit_code == swept.exit_code == 0
+        assert evaluated.output == swept.output
 
     def test_wrong_clip_ground_truth_fails(self, runner, scenario_files, tmp_path):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
@@ -303,10 +314,24 @@ class TestExport:
             assert abs(a.position.lat - b.position.lat) < 1e-9
             assert abs(a.position.lon - b.position.lon) < 1e-9
 
+    def test_output_file(self, runner, scenario_files):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        out = scenario_files / "map.geojson"
+        result = runner.invoke(main, ["export", str(map_file), "-o", str(out)])
+        assert result.exit_code == 0
+        assert out.read_text() == runner.invoke(main, ["export", str(map_file)]).output
+        assert result.output == f"1 features -> {out}\n"
+
     def test_unreadable_map_fails(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert runner.invoke(main, ["export", str(bad)]).exit_code != 0
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
 
 
 @pytest.mark.parametrize(

@@ -49,11 +49,6 @@ class TestParseDetectionLog:
     def test_header_only(self):
         assert parse_detection_log(io.StringIO(HEADER)) == []
 
-    def test_bytes_stream(self):
-        data = (HEADER + "5,1.0,2.0,0,c\n").encode("utf-8")
-        records = parse_detection_log(io.BytesIO(data))
-        assert len(records) == 1
-
     def test_negative_count_reports_line(self):
         stream = io.StringIO(HEADER + "1000,0,0,1,a\n2000,0,0,-1,a\n")
         with pytest.raises(ParseError, match="line 3"):
