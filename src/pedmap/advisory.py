@@ -16,7 +16,8 @@ as every in-radius node has fallen behind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 from math import isfinite
 from typing import Iterable, Iterator, Literal, Optional
 
@@ -49,24 +50,28 @@ MIN_SAMPLING_DISTANCE_M = 0.01
 ARC_TOLERANCE_M = 1e-9
 
 
+def _check_sampling_distance(sampling_distance: float) -> None:
+    if not isfinite(sampling_distance):
+        raise ValueError("sampling_distance must be finite")
+    if sampling_distance < MIN_SAMPLING_DISTANCE_M:
+        raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
+
+
 @dataclass(frozen=True, slots=True)
 class AdvisoryConfig:
     """Tunable advisory parameters.
 
-    ``reaction_time`` (s), ``friction``, and ``grade`` feed the stopping-distance
-    formula; ``safety_factor`` scales the resulting radius. ``sampling_distance``
-    (m) spaces the checkpoints; ``heading_threshold`` (deg) bounds how far off the
-    direction of travel a node may sit and still count as in front; ``min_count``
-    is the minimum sightings a node needs to trigger.
+    Each field's ``help`` metadata says what it sets; the CLI turns every field
+    into a flag with that help, the field's default and its type.
     """
 
-    reaction_time: float = 2.5
-    friction: float = 0.7
-    grade: float = 0.0
-    safety_factor: float = 1.0
-    sampling_distance: float = 2.0
-    heading_threshold: float = 90.0
-    min_count: int = 1
+    reaction_time: float = field(default=2.5, metadata={"help": "Driver reaction time, seconds."})
+    friction: float = field(default=0.7, metadata={"help": "Road friction coefficient."})
+    grade: float = field(default=0.0, metadata={"help": "Road grade (positive uphill)."})
+    safety_factor: float = field(default=1.0, metadata={"help": "Multiplier on the stopping-distance radius."})
+    sampling_distance: float = field(default=2.0, metadata={"help": "Meters between advisory checkpoints."})
+    heading_threshold: float = field(default=90.0, metadata={"help": "Max heading separation, degrees, for a node to count as in front."})
+    min_count: int = field(default=1, metadata={"help": "Minimum sightings for a node to trigger."})
 
     def __post_init__(self) -> None:
         for name in ("reaction_time", "friction", "grade", "safety_factor", "sampling_distance", "heading_threshold"):
@@ -76,8 +81,7 @@ class AdvisoryConfig:
             raise ValueError("reaction_time must be > 0")
         if self.safety_factor <= 0:
             raise ValueError("safety_factor must be > 0")
-        if self.sampling_distance < MIN_SAMPLING_DISTANCE_M:
-            raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
+        _check_sampling_distance(self.sampling_distance)
         if self.friction + self.grade <= 0:
             raise ValueError("non-positive braking denominator (friction + grade)")
         if not 0 < self.heading_threshold <= 180:
@@ -152,16 +156,27 @@ class AdvisoryTimeline:
     sampling_distance: float
 
     @property
+    def events(self) -> list[tuple[int, int]]:
+        """Advisory events: the index ranges ``[start, stop)`` of the maximal runs of active decisions."""
+        runs = []
+        start = 0
+        for active, run in groupby(d.active for d in self.decisions):
+            stop = start + sum(1 for _ in run)
+            if active:
+                runs.append((start, stop))
+            start = stop
+        return runs
+
+    @property
     def transitions(self) -> list[Transition]:
-        """ON/OFF events derived from consecutive active flags; always starts with ON."""
-        events = []
-        prev_active = False
-        for d in self.decisions:
-            if d.active != prev_active:
-                kind = "ON" if d.active else "OFF"
-                events.append(Transition(d.checkpoint.arc_position, d.checkpoint.position, kind))
-                prev_active = d.active
-        return events
+        """ON at the first decision of each event, OFF at the decision after its last, if any."""
+        result = []
+        for start, stop in self.events:
+            for i, kind in ((start, "ON"), (stop, "OFF")):
+                if i < len(self.decisions):
+                    cp = self.decisions[i].checkpoint
+                    result.append(Transition(cp.arc_position, cp.position, kind))
+        return result
 
 
 def stopping_distance(speed_kmh: float, cfg: AdvisoryConfig) -> float:
@@ -187,11 +202,6 @@ def _cumulative_arcs(trace: DriveTrace) -> list[float]:
     return arcs
 
 
-def trace_arc_length(trace: DriveTrace) -> float:
-    """Total along-track length of the trace, in meters."""
-    return _cumulative_arcs(trace)[-1]
-
-
 def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]:
     """Checkpoints on the fixed arc-length grid 0, K, 2K, ... within the trace,
     taken in one forward walk over its segments.
@@ -200,10 +210,10 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     multiple of K is a subset of the set for K, independent of GPS fix spacing.
     An arc exactly on a fix belongs to the segment starting there, stationary
     included, and the heading is that of the latest moving segment (the first
-    one, while the drive begins parked).
+    one, while the drive begins parked). ``sampling_distance`` must pass the
+    check ``AdvisoryConfig`` applies: finite, and at least ``MIN_SAMPLING_DISTANCE_M``.
     """
-    if sampling_distance < MIN_SAMPLING_DISTANCE_M:
-        raise ValueError(f"sampling_distance must be >= {MIN_SAMPLING_DISTANCE_M}")
+    _check_sampling_distance(sampling_distance)
     fixes = trace.fixes
     if len(fixes) < 2:
         raise ValueError("trace needs at least 2 fixes")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Iterator, Optional
 
 import click
@@ -60,19 +61,12 @@ def _write(text: str, out_path: Optional[str], summary: str) -> None:
 
 
 def config_options(command):
-    """Advisory flags shared by replay/eval/sweep, mirroring AdvisoryConfig."""
-    for decorator in reversed(
-        [
-            click.option("--reaction-time", type=float, default=2.5, show_default=True, help="Driver reaction time, seconds."),
-            click.option("--friction", type=float, default=0.7, show_default=True, help="Road friction coefficient."),
-            click.option("--grade", type=float, default=0.0, show_default=True, help="Road grade (positive uphill)."),
-            click.option("--safety-factor", type=float, default=1.0, show_default=True, help="Multiplier on the stopping-distance radius."),
-            click.option("--sampling-distance", type=float, default=2.0, show_default=True, help="Meters between advisory checkpoints."),
-            click.option("--heading-threshold", type=float, default=90.0, show_default=True, help="Max heading separation, degrees, for a node to count as in front."),
-            click.option("--min-count", type=int, default=1, show_default=True, help="Minimum sightings for a node to trigger."),
-        ]
-    ):
-        command = decorator(command)
+    """Advisory flags shared by replay/eval/sweep: one per AdvisoryConfig field, in field order,
+    with the field's default, type and ``help`` metadata (``min_count`` becomes ``--min-count``)."""
+    # ``f.type`` is a string under postponed annotations, so the default gives the type.
+    for f in reversed(fields(advisory.AdvisoryConfig)):
+        flag = "--" + f.name.replace("_", "-")
+        command = click.option(flag, type=type(f.default), default=f.default, show_default=True, help=f.metadata["help"])(command)
     return command
 
 
@@ -122,8 +116,7 @@ def replay(map_file: str, trace_csv: str, out_path: Optional[str], clip: Optiona
         hotspot_map = _load_map(map_file)
         timeline = advisory.run_replay(_load_trace(trace_csv, clip), hotspot_map, cfg)
         lines = "".join(line + "\n" for line in advisory.timeline_to_jsonl(timeline))
-    on_count = sum(1 for t in timeline.transitions if t.kind == "ON")
-    _write(lines, out_path, f"{len(timeline.decisions)} checkpoints, {on_count} advisories")
+    _write(lines, out_path, f"{len(timeline.decisions)} checkpoints, {len(timeline.events)} advisories")
 
 
 def _windows_for_trace(gt_path: str, trace: advisory.DriveTrace) -> list[evaluation.GroundTruthWindow]:

@@ -1,14 +1,16 @@
 """Scoring replayed advisories against hand-labeled ground truth.
 
 Ground truth is a set of arc-length windows along the test trace where an
-advisory should have been active. Each maximal contiguous active span of a
-timeline is one advisory event; an event is correct when it overlaps at least
-one window, after extending the span by one sampling distance on each side so
-a preemptive onset just before the window still gets credit. Precision is
-correct events over all events; recall is correct events over correct events
-plus missed windows. A zero denominator leaves the metric undefined rather
-than zero. A sweep replays the drive at each sampling distance K, but each
-distinct arc position is decided once and shared by every K whose grid has it.
+advisory should have been active. The advisory events are the timeline's
+``AdvisoryTimeline.events``, its maximal runs of active decisions. An event
+spans the arcs of its first and last decision, and it is correct when it
+overlaps at least one window, after extending the span by one sampling
+distance on each side so a preemptive onset just before the window still
+gets credit. Precision is correct events over all events; recall is correct
+events over correct events plus missed windows. A zero denominator leaves
+the metric undefined rather than zero. A sweep replays the drive at each
+sampling distance K, but each distinct arc position is decided once and
+shared by every K whose grid has it.
 """
 
 from __future__ import annotations
@@ -58,24 +60,6 @@ class EvalReport:
     rows: tuple[EvalRow, ...]
 
 
-def _active_spans(timeline: AdvisoryTimeline) -> list[tuple[float, float]]:
-    spans = []
-    start: Optional[float] = None
-    last: Optional[float] = None
-    for d in timeline.decisions:
-        arc = d.checkpoint.arc_position
-        if d.active:
-            if start is None:
-                start = arc
-            last = arc
-        elif start is not None:
-            spans.append((start, last))
-            start = None
-    if start is not None:
-        spans.append((start, last))
-    return spans
-
-
 def match_advisories(timeline: AdvisoryTimeline, windows: Sequence[GroundTruthWindow]) -> EvalCounts:
     """Count correct/false advisory events and missed windows for one clip.
 
@@ -89,12 +73,13 @@ def match_advisories(timeline: AdvisoryTimeline, windows: Sequence[GroundTruthWi
                 f"clip mismatch: timeline is {timeline.clip_id!r}, window is {w.clip_id!r}"
             )
     k = timeline.sampling_distance
+    decisions = timeline.decisions
     correct = 0
     false_advisories = 0
     matched = [False] * len(windows)
-    for span_start, span_end in _active_spans(timeline):
-        lo = span_start - k
-        hi = span_end + k
+    for start, stop in timeline.events:
+        lo = decisions[start].checkpoint.arc_position - k
+        hi = decisions[stop - 1].checkpoint.arc_position + k
         hit_any = False
         for i, w in enumerate(windows):
             if min(hi, w.end_m) - max(lo, w.start_m) > 0:

@@ -286,22 +286,13 @@ def load_map(path: str) -> HotspotMap:
 
 
 def map_to_geojson(hotspot_map: HotspotMap) -> dict:
-    """GeoJSON FeatureCollection of Point features; coordinates are [lon, lat]."""
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [n.position.lon, n.position.lat]},
-                "properties": {
-                    "count": n.count,
-                    "timestamp_ms": n.timestamp_ms,
-                    "clip_id": n.clip_id,
-                },
-            }
-            for n in hotspot_map.nodes
-        ],
-    }
+    """GeoJSON FeatureCollection of Point features, one per ``map_to_dict`` node:
+    its ``lon`` and ``lat`` become the [lon, lat] coordinates, and its other keys the properties."""
+    features = []
+    for properties in map_to_dict(hotspot_map)["nodes"]:
+        coordinates = [properties.pop("lon"), properties.pop("lat")]
+        features.append({"type": "Feature", "geometry": {"type": "Point", "coordinates": coordinates}, "properties": properties})
+    return {"type": "FeatureCollection", "features": features}
 
 
 def map_from_geojson(data: object) -> HotspotMap:

@@ -26,7 +26,6 @@ from pedmap.advisory import (
     run_replay,
     stopping_distance,
     timeline_to_jsonl,
-    trace_arc_length,
     with_sampling_distance,
 )
 from pedmap.evaluation import (
@@ -195,7 +194,7 @@ class TestEstimateKinematics:
         trace = DriveTrace(
             (TraceFix(0, GeoPoint(0, 0)), TraceFix(1000, GeoPoint(0.0002, 0))), "c"
         )
-        total = trace_arc_length(trace)
+        total = advisory._cumulative_arcs(trace)[-1]
         cp = checkpoints(trace, total / 2)[1]
         assert cp.arc_position == total / 2
         assert cp.position.lat == pytest.approx(0.0001, rel=1e-9)
@@ -244,6 +243,9 @@ class TestCheckpoints:
             checkpoints(self.make_trace(50), 0.0)
         with pytest.raises(ValueError, match="must be >= 0.01"):
             checkpoints(self.make_trace(50), 1e-300)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sampling_distance must be finite"):
+                checkpoints(self.make_trace(50), bad)
 
     def test_parked_start(self):
         trace = parked_start_trace()
@@ -751,7 +753,7 @@ def replay_scenarios(draw):
 @st.composite
 def windows_along(draw, trace):
     """Disjoint ground-truth windows cut from the drive's length."""
-    length = trace_arc_length(trace)
+    length = advisory._cumulative_arcs(trace)[-1]
     cuts = sorted({f * length for f in draw(st.lists(st.floats(0, 1), min_size=2, max_size=10))})
     return [GroundTruthWindow(trace.clip_id, start, end) for start, end in zip(cuts[::2], cuts[1::2])]
 

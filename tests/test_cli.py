@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import M_PER_DEG_LAT, northbound_trace
 from pedmap import evaluation
+from pedmap.advisory import AdvisoryConfig
 from pedmap.cli import main
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import load_map, map_from_geojson
@@ -293,6 +295,58 @@ class TestEvalAndSweep:
         assert first.output == second.output
 
 
+@pytest.mark.parametrize("command", ["replay", "eval", "sweep"])
+def test_help_lists_every_config_field_with_its_default(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())  # undo the help's line wrapping
+    for f in fields(AdvisoryConfig):
+        flag = "--" + f.name.replace("_", "-")
+        assert flag + " " in text
+        entry = text.split(flag + " ", 1)[1].split(" --", 1)[0]
+        assert f"[default: {f.default}]" in entry
+
+
+# Key order, [lon, lat] coordinates and two-space indentation, byte for byte.
+EXPECTED_TWO_NODE_EXPORT = """\
+{
+  "type": "FeatureCollection",
+  "features": [
+    {
+      "type": "Feature",
+      "geometry": {
+        "type": "Point",
+        "coordinates": [
+          -117.234,
+          32.88
+        ]
+      },
+      "properties": {
+        "count": 3,
+        "timestamp_ms": 1000,
+        "clip_id": "a"
+      }
+    },
+    {
+      "type": "Feature",
+      "geometry": {
+        "type": "Point",
+        "coordinates": [
+          2.25,
+          -1.5
+        ]
+      },
+      "properties": {
+        "count": 1,
+        "timestamp_ms": -7,
+        "clip_id": "b"
+      }
+    }
+  ]
+}
+"""
+
+
 class TestExport:
     def test_empty_map(self, runner, tmp_path):
         empty_csv = tmp_path / "empty.csv"
@@ -321,6 +375,17 @@ class TestExport:
         assert result.exit_code == 0
         assert out.read_text() == runner.invoke(main, ["export", str(map_file)]).output
         assert result.output == f"1 features -> {out}\n"
+
+    def test_exact_output(self, runner, tmp_path):
+        map_file = tmp_path / "two.json"
+        nodes = [
+            {"lat": 32.88, "lon": -117.234, "count": 3, "timestamp_ms": 1000, "clip_id": "a"},
+            {"lat": -1.5, "lon": 2.25, "count": 1, "timestamp_ms": -7, "clip_id": "b"},
+        ]
+        map_file.write_text(json.dumps({"schema_version": 1, "nodes": nodes}))
+        result = runner.invoke(main, ["export", str(map_file)])
+        assert result.exit_code == 0
+        assert result.output == EXPECTED_TWO_NODE_EXPORT
 
     def test_unreadable_map_fails(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import map_of, make_node, northbound_trace, offset, random_scenario
 from pedmap import evaluation
-from pedmap.advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, Checkpoint, run_replay
+from pedmap.advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, Checkpoint, Transition, run_replay
 from pedmap.evaluation import (
     EvalCounts,
     GroundTruthWindow,
@@ -91,6 +92,63 @@ class TestMatchAdvisories:
         timeline = fake_timeline([10.0])
         with pytest.raises(ValueError, match="clip mismatch"):
             match_advisories(timeline, [window(5.0, 10.0, clip_id="other")])
+
+
+def reference_transitions(timeline):
+    """ON/OFF at every change of the active flag, starting from inactive."""
+    events = []
+    prev_active = False
+    for d in timeline.decisions:
+        if d.active != prev_active:
+            events.append(Transition(d.checkpoint.arc_position, d.checkpoint.position, "ON" if d.active else "OFF"))
+            prev_active = d.active
+    return events
+
+
+def reference_match(timeline, windows):
+    """Events as (first, last) active arcs of each maximal active run, matched one K wide on each side."""
+    spans = []
+    start = last = None
+    for d in timeline.decisions:
+        arc = d.checkpoint.arc_position
+        if d.active:
+            if start is None:
+                start = arc
+            last = arc
+        elif start is not None:
+            spans.append((start, last))
+            start = None
+    if start is not None:
+        spans.append((start, last))
+    k = timeline.sampling_distance
+    correct = false_advisories = 0
+    matched = [False] * len(windows)
+    for span_start, span_end in spans:
+        hits = [i for i, w in enumerate(windows) if min(span_end + k, w.end_m) - max(span_start - k, w.start_m) > 0]
+        for i in hits:
+            matched[i] = True
+        correct += bool(hits)
+        false_advisories += not hits
+    return EvalCounts(correct, false_advisories, matched.count(False))
+
+
+class TestAdvisoryEventsOracle:
+    @given(
+        flags=st.lists(st.booleans(), max_size=40),
+        k=st.sampled_from([0.5, 2.0, 3.0, 7.5]),
+        cuts=st.lists(st.floats(0, 100), max_size=8),
+    )
+    def test_events_match_reference_loops(self, flags, k, cuts):
+        decisions = tuple(
+            AdvisoryDecision(Checkpoint(i * k, GeoPoint(0, i * 1e-4), Heading(0), 30.0, i), active, 25.0)
+            for i, active in enumerate(flags)
+        )
+        timeline = AdvisoryTimeline(decisions, "c", k)
+        bounds = sorted(set(cuts))
+        windows = [window(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+        assert timeline.transitions == reference_transitions(timeline)
+        assert len(timeline.events) == sum(t.kind == "ON" for t in timeline.transitions)
+        assert match_advisories(timeline, windows) == reference_match(timeline, windows)
 
 
 class TestPrecisionRecall:
