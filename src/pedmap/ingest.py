@@ -3,21 +3,24 @@
 A training drive log is a CSV of per-frame pedestrian detections tagged with the
 ego vehicle's GPS fix, read by ``_read_rows``, the one CSV reader (test-drive
 CSVs included). Records are grouped per clip into fixed wall-clock 1-second
-bins; each bin with at least one detected pedestrian becomes a hotspot node at
-the median vehicle position. Maps from separate drives or vehicles are
-merged by plain node-list concatenation: repeated sightings of the same spot are
-the signal, so nothing is deduplicated.
+bins, in one grouped pass over the sorted records; each bin with at least one
+detected pedestrian becomes a hotspot node at the median vehicle position. Maps
+from separate drives or vehicles are merged by plain node-list concatenation:
+repeated sightings of the same spot are the signal, so nothing is deduplicated.
+A map file holds the bytes of ``json.dump(map_to_dict(m), indent=2)``, written
+node by node.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import statistics
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Iterable, Iterator, Literal, Optional
+from operator import attrgetter
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .geodesy import GeoPoint
 from .spatial_index import DEFAULT_LEAF_SIZE, BallTree
@@ -141,6 +144,10 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
         raise ParseError(str(exc), reader.line_num) from None
 
 
+# Records are ordered by clip, then time, before they are binned.
+_record_order = attrgetter("clip_id", "timestamp_ms")
+
+
 def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
     """Parse training CSV text into records sorted by (clip_id, timestamp).
 
@@ -153,8 +160,13 @@ def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
         if count < 0:
             raise ParseError(f"negative pedestrian_count {count}", line)
         records.append(DetectionRecord(ts, position, count, row[4]))
-    records.sort(key=lambda r: (r.clip_id, r.timestamp_ms))
+    records.sort(key=_record_order)
     return records
+
+
+def _bin_key(r: DetectionRecord) -> tuple[str, int]:
+    """A record's 1-second bin: its clip and the wall-clock epoch second it falls in."""
+    return r.clip_id, r.timestamp_ms // 1000
 
 
 def split_intervals(records: list[DetectionRecord]) -> list[Interval]:
@@ -163,29 +175,34 @@ def split_intervals(records: list[DetectionRecord]) -> list[Interval]:
     Expects records sorted by (clip_id, timestamp); every record lands in exactly
     one interval, and intervals never span clips.
     """
-    intervals: list[Interval] = []
-    fixes: list[GeoPoint] = []
-    counts: list[int] = []
-    current: Optional[tuple[str, int]] = None  # (clip_id, epoch second)
-
-    def flush() -> None:
-        if current is not None:
-            clip, sec = current
-            intervals.append(
-                Interval(sec, clip, sec * 1000, sec * 1000 + 1000, tuple(fixes), tuple(counts))
-            )
-
-    for rec in records:
-        key = (rec.clip_id, rec.timestamp_ms // 1000)
-        if key != current:
-            flush()
-            current = key
-            fixes = []
-            counts = []
-        fixes.append(rec.position)
-        counts.append(rec.pedestrian_count)
-    flush()
+    intervals = []
+    for (clip, sec), group in groupby(records, _bin_key):
+        fixes, counts = zip(*((r.position, r.pedestrian_count) for r in group))
+        intervals.append(Interval(sec, clip, sec * 1000, sec * 1000 + 1000, fixes, counts))
     return intervals
+
+
+def _count_rule(count_mode: CountMode):
+    """How a bin's per-fix counts combine: ``max`` or ``sum``."""
+    if count_mode not in ("max", "sum"):
+        raise ValueError(f"count_mode must be 'max' or 'sum', got {count_mode!r}")
+    return max if count_mode == "max" else sum
+
+
+def _median(values: list[float]) -> float:
+    """``statistics.median``'s arithmetic: the middle value, or the mean of the two middle ones."""
+    values.sort()
+    mid, odd = divmod(len(values), 2)
+    return values[mid] if odd else (values[mid - 1] + values[mid]) / 2
+
+
+def _hotspot(fixes: Sequence[GeoPoint], counts: Sequence[int], start_ms: int, clip_id: str, total) -> Optional[HotspotNode]:
+    """One bin's node: ``total`` (max or sum) of its counts at the median of its fixes, or None at 0."""
+    count = total(counts)
+    if count == 0:
+        return None
+    position = GeoPoint(_median([p.lat for p in fixes]), _median([p.lon for p in fixes]))
+    return HotspotNode(position, count, start_ms, clip_id)
 
 
 def aggregate_interval(interval: Interval, count_mode: CountMode = "max") -> Optional[HotspotNode]:
@@ -196,24 +213,20 @@ def aggregate_interval(interval: Interval, count_mode: CountMode = "max") -> Opt
     the max of the per-fix counts by default; ``sum`` adds them instead, which
     over-counts pedestrians that stay in view across frames.
     """
-    if count_mode not in ("max", "sum"):
-        raise ValueError(f"count_mode must be 'max' or 'sum', got {count_mode!r}")
-    count = max(interval.counts) if count_mode == "max" else sum(interval.counts)
-    if count == 0:
-        return None
-    position = GeoPoint(
-        statistics.median(p.lat for p in interval.fixes),
-        statistics.median(p.lon for p in interval.fixes),
-    )
-    return HotspotNode(position, count, interval.start_ms, interval.clip_id)
+    return _hotspot(interval.fixes, interval.counts, interval.start_ms, interval.clip_id, _count_rule(count_mode))
 
 
 def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> HotspotMap:
-    """Aggregate records into a hotspot map, ordered by clip then interval start."""
-    records = sorted(records, key=lambda r: (r.clip_id, r.timestamp_ms))
+    """Aggregate records into a hotspot map, ordered by clip then interval start.
+
+    One grouped pass over the sorted records: each 1-second bin becomes a node
+    as ``aggregate_interval`` would make it, with no ``Interval`` in between.
+    """
+    total = _count_rule(count_mode)
     nodes = []
-    for interval in split_intervals(records):
-        node = aggregate_interval(interval, count_mode)
+    for (clip, sec), group in groupby(sorted(records, key=_record_order), _bin_key):
+        group = list(group)
+        node = _hotspot([r.position for r in group], [r.pedestrian_count for r in group], sec * 1000, clip, total)
         if node is not None:
             nodes.append(node)
     return HotspotMap(nodes)
@@ -227,19 +240,18 @@ def merge_maps(*maps: HotspotMap) -> HotspotMap:
 # --- serialization ---------------------------------------------------------
 
 
+_NODE_KEYS = ("lat", "lon", "count", "timestamp_ms", "clip_id")
+
+
+def _node_values(n: HotspotNode) -> tuple:
+    """A node's values in ``_NODE_KEYS`` order."""
+    return n.position.lat, n.position.lon, n.count, n.timestamp_ms, n.clip_id
+
+
 def map_to_dict(hotspot_map: HotspotMap) -> dict:
     return {
         "schema_version": MAP_SCHEMA_VERSION,
-        "nodes": [
-            {
-                "lat": n.position.lat,
-                "lon": n.position.lon,
-                "count": n.count,
-                "timestamp_ms": n.timestamp_ms,
-                "clip_id": n.clip_id,
-            }
-            for n in hotspot_map.nodes
-        ],
+        "nodes": [dict(zip(_NODE_KEYS, _node_values(n))) for n in hotspot_map.nodes],
     }
 
 
@@ -274,10 +286,31 @@ def map_from_dict(data: object) -> HotspotMap:
     return HotspotMap([_node("node", i, n) for i, n in enumerate(nodes)])
 
 
+# ``json.dump(map_to_dict(m), f, indent=2)`` around its node list, split at the
+# empty list, and one node as that call lays it out, after its list separator.
+_MAP_HEAD, _MAP_TAIL = json.dumps(map_to_dict(HotspotMap()), indent=2).split("[]")
+_NODE_FORMAT = "{}    {{\n" + ",\n".join(f'      "{k}": {{}}' for k in _NODE_KEYS) + "\n    }}"
+
+
+def _node_texts(nodes: list[HotspotNode]) -> Iterator[str]:
+    sep, node_format = "\n", _NODE_FORMAT.format
+    for n in nodes:
+        lat, lon, count, timestamp_ms, clip_id = _node_values(n)
+        if not (isfinite(lat) and isfinite(lon)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        yield node_format(sep, repr(lat), repr(lon), repr(count), repr(timestamp_ms), encode_basestring_ascii(clip_id))
+        sep = ",\n"
+
+
 def save_map(hotspot_map: HotspotMap, path: str) -> None:
+    """Write the bytes of ``json.dump(map_to_dict(m), f, indent=2, allow_nan=False)``
+    plus a newline, node by node, without building the node dicts or the whole text."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(map_to_dict(hotspot_map), f, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(_MAP_HEAD + "[")
+        if hotspot_map.nodes:
+            f.writelines(_node_texts(hotspot_map.nodes))
+            f.write("\n  ")
+        f.write("]" + _MAP_TAIL + "\n")
 
 
 def load_map(path: str) -> HotspotMap:

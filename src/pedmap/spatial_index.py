@@ -114,10 +114,6 @@ class BallTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    @property
-    def points(self) -> list[GeoPoint]:
-        return self._points
-
     def _make_ball(self, indices: list[int]) -> _Ball:
         xs, ys, zs = self._xs, self._ys, self._zs
         sx, sy, sz = (sum(map(c.__getitem__, indices)) for c in (xs, ys, zs))

@@ -2,9 +2,12 @@ import io
 import json
 import math
 import random
+import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import (
@@ -218,6 +221,40 @@ class TestBuildMap:
         assert node_bins == expected
 
 
+    def test_bad_mode_fails_without_records(self):
+        with pytest.raises(ValueError, match="count_mode"):
+            build_map([], "avg")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3_000, 3_000),
+                st.floats(-90, 90),
+                st.one_of(st.floats(-180, 180), st.just(180.0)),
+                st.integers(0, 3),
+                st.sampled_from(["a", "b", "c"]),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from(["max", "sum"]),
+    )
+    def test_grouped_pass_matches_interval_path(self, rows, mode):
+        # Unsorted input over several clips; timestamps straddle second
+        # boundaries on both sides of 0 (-1 ms is in second -1); zero counts
+        # sit inside counted bins; longitude 180 normalizes to -180.
+        records = [rec(ts, lat, lon, n, clip) for ts, lat, lon, n, clip in rows]
+        intervals = split_intervals(sorted(records, key=lambda r: (r.clip_id, r.timestamp_ms)))
+        expected = [node for node in (aggregate_interval(iv, mode) for iv in intervals) if node is not None]
+        nodes = build_map(records, mode).nodes
+        assert list(map(repr, nodes)) == list(map(repr, expected))
+        by_bin = {(iv.clip_id, iv.start_ms): iv.fixes for iv in intervals}
+        for node in nodes:
+            fixes = by_bin[node.clip_id, node.timestamp_ms]
+            median = GeoPoint(statistics.median(p.lat for p in fixes), statistics.median(p.lon for p in fixes))
+            assert repr(node.position) == repr(median)
+
+
 class TestMergeMaps:
     def nodes(self, seed, n):
         rng = random.Random(seed)
@@ -291,6 +328,32 @@ class TestSerialization:
         m = HotspotMap([HotspotNode(point, 2, 1000, "c")])
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_map(m, str(tmp_path / "map.json"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                lambda lat, lon, count, ts, clip: HotspotNode(GeoPoint(lat, lon), count, ts, clip),
+                st.one_of(
+                    st.integers(-90, 90),  # load_map keeps "lat": 5 an int
+                    st.floats(-90, 90),
+                    st.sampled_from([-0.0, 1e-300, 0.1 + 0.2, 32.880123456789012]),
+                ),
+                st.one_of(st.floats(-180, 180), st.sampled_from([-180.0, -117.23409876543211])),
+                st.one_of(st.integers(1, 3), st.integers(1, 10**30)),
+                st.one_of(st.integers(-(2**60), 2**60), st.just(2**60)),
+                st.one_of(st.text(), st.sampled_from(["", 'a"b', "a\\b", "\x00\x1f\t\n", "caf\u00e9", "\U0001f6b6"])),
+            ),
+            max_size=6,
+        )
+    )
+    def test_save_writes_json_dump_bytes(self, nodes):
+        m = HotspotMap(nodes)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "map.json"
+            save_map(m, str(path))
+            written = path.read_bytes()
+        assert written == (json.dumps(map_to_dict(m), indent=2, allow_nan=False) + "\n").encode("utf-8")
 
     def test_empty_geojson(self):
         assert map_to_geojson(HotspotMap()) == {"type": "FeatureCollection", "features": []}
