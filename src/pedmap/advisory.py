@@ -102,15 +102,19 @@ class DriveTrace:
 
     Timestamps must be strictly increasing and at most 2^53 in magnitude, and
     consecutive fixes must be less than 180 degrees apart in longitude
-    (antimeridian-crossing traces are rejected).
+    (antimeridian-crossing traces are rejected). ``arcs`` holds the meters
+    along the trace from its first fix to each fix, measured once, as the
+    trace is validated.
     """
 
     fixes: tuple[TraceFix, ...]
     clip_id: str
+    arcs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.fixes and max(-self.fixes[0].timestamp_ms, self.fixes[-1].timestamp_ms) > MAX_TIMESTAMP_MS:
             raise ValueError(f"timestamps outside [-2**53, 2**53] ms in clip {self.clip_id!r}")
+        arcs = [0.0]
         for prev, cur in zip(self.fixes, self.fixes[1:]):
             if cur.timestamp_ms <= prev.timestamp_ms:
                 raise ValueError(
@@ -118,6 +122,8 @@ class DriveTrace:
                 )
             if abs(cur.position.lon - prev.position.lon) >= 180.0:
                 raise ValueError(f"longitude jump >= 180 degrees in clip {self.clip_id!r}")
+            arcs.append(arcs[-1] + haversine_distance(prev.position, cur.position))
+        object.__setattr__(self, "arcs", tuple(arcs) if self.fixes else ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,13 +201,6 @@ def stopping_distance(speed_kmh: float, cfg: AdvisoryConfig) -> float:
 # --- trace geometry ---------------------------------------------------------
 
 
-def _cumulative_arcs(trace: DriveTrace) -> list[float]:
-    arcs = [0.0]
-    for prev, cur in zip(trace.fixes, trace.fixes[1:]):
-        arcs.append(arcs[-1] + haversine_distance(prev.position, cur.position))
-    return arcs
-
-
 def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]:
     """Checkpoints on the fixed arc-length grid 0, K, 2K, ... within the trace,
     taken in one forward walk over its segments.
@@ -210,14 +209,16 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     multiple of K is a subset of the set for K, independent of GPS fix spacing.
     An arc exactly on a fix belongs to the segment starting there, stationary
     included, and the heading is that of the latest moving segment (the first
-    one, while the drive begins parked). ``sampling_distance`` must pass the
-    check ``AdvisoryConfig`` applies: finite, and at least ``MIN_SAMPLING_DISTANCE_M``.
+    one, while the drive begins parked). The arcs are the trace's own
+    ``arcs``, so a drive sampled at several K is measured only once.
+    ``sampling_distance`` must pass the check ``AdvisoryConfig`` applies:
+    finite, and at least ``MIN_SAMPLING_DISTANCE_M``.
     """
     _check_sampling_distance(sampling_distance)
     fixes = trace.fixes
     if len(fixes) < 2:
         raise ValueError("trace needs at least 2 fixes")
-    arcs = _cumulative_arcs(trace)
+    arcs = trace.arcs
     total, last = arcs[-1], len(arcs) - 2
     # The relative 1e-9 absorbs rounding in the division; the last arc
     # must also fall within ARC_TOLERANCE_M of the end.

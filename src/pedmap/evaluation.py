@@ -190,18 +190,10 @@ def report_to_markdown(report: EvalReport) -> str:
         "| Sampling Distance (m) | Precision | Recall |",
         "|---|---|---|",
     ]
-    flagged = False
-
-    def cell(value: Optional[float]) -> str:
-        nonlocal flagged
-        if value is None:
-            flagged = True
-            return "0*"
-        return f"{value:.6g}"
-
     for row in report.rows:
-        lines.append(f"| {row.sampling_distance:.6g} | {cell(row.precision)} | {cell(row.recall)} |")
+        p, r = ("0*" if v is None else f"{v:.6g}" for v in (row.precision, row.recall))
+        lines.append(f"| {row.sampling_distance:.6g} | {p} | {r} |")
     out = "\n".join(lines) + "\n"
-    if flagged:
+    if any(None in (row.precision, row.recall) for row in report.rows):
         out += "\n\\* no advisories issued; metric undefined\n"
     return out

@@ -35,10 +35,9 @@ CountMode = Literal["max", "sum"]
 class ParseError(ValueError):
     """A malformed input file; carries the 1-based line number where parsing failed."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +88,7 @@ class HotspotMap:
     """
 
     nodes: list[HotspotNode] = field(default_factory=list)
-    _index: Optional[BallTree] = field(default=None, repr=False, compare=False)
+    _index: Optional[BallTree] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def index(self) -> BallTree:

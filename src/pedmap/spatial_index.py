@@ -31,11 +31,11 @@ point whose ``t·q`` is. That slack is about 1e4 times the bearing's rounding
 at any distance, so no point the bearing puts within 90 degrees is skipped.
 Nor is any point within 6 µm of ``p``, where ``|t·q|`` is below the slack.
 
-Construction splits a node by the farthest-point-pair heuristic: take the
-node's first point, find its farthest point A, find A's farthest point B, and
-partition by proximity to A versus B, all by dot products. Seeding with the
-first point (rather than a random one) keeps construction deterministic for a
-given input order.
+Construction splits a node by the farthest-point-pair heuristic: A is the
+point farthest from the node's center, which the scan for its radius finds,
+B is the point farthest from A, and the points are partitioned by proximity to
+A versus B, by dot products. Ties go to the earliest point, so construction is
+deterministic for a given input order.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class BallTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    def _make_ball(self, indices: list[int]) -> _Ball:
+    def _make_ball(self, indices: list[int]) -> tuple[_Ball, int]:
+        # Returns the ball and the index of a point at its radius.
         xs, ys, zs = self._xs, self._ys, self._zs
         sx, sy, sz = (sum(map(c.__getitem__, indices)) for c in (xs, ys, zs))
         norm = hypot(sx, sy, sz)
@@ -126,26 +127,20 @@ class BallTree:
             cx, cy, cz = sx / norm, sy / norm, sz / norm
         # From coordinate differences: 2 - 2·dot cancels at meter scale and
         # could round the radius below a member's chord.
-        farthest = 0.0
+        farthest, far_idx = 0.0, indices[0]
         for i in indices:
             dx, dy, dz = xs[i] - cx, ys[i] - cy, zs[i] - cz
             d = dx * dx + dy * dy + dz * dz
             if d > farthest:
-                farthest = d
-        return _Ball((cx, cy, cz), sqrt(farthest))
+                farthest, far_idx = d, i
+        return _Ball((cx, cy, cz), sqrt(farthest)), far_idx
 
-    def _dots(self, i: int, indices: list[int]) -> list[float]:
+    def _split(self, indices: list[int], a_idx: int) -> tuple[list[int], list[int]]:
+        # B, the point farthest from A, has the smallest dot product with it.
         xs, ys, zs = self._xs, self._ys, self._zs
-        ax, ay, az = xs[i], ys[i], zs[i]
-        return [ax * xs[j] + ay * ys[j] + az * zs[j] for j in indices]
-
-    def _split(self, indices: list[int]) -> tuple[list[int], list[int]]:
-        # The farthest point has the smallest dot product.
-        seed_dots = self._dots(indices[0], indices)
-        a_idx = indices[seed_dots.index(min(seed_dots))]
-        dots_a = self._dots(a_idx, indices)
+        ax, ay, az = xs[a_idx], ys[a_idx], zs[a_idx]
+        dots_a = [ax * xs[j] + ay * ys[j] + az * zs[j] for j in indices]
         b_idx = indices[dots_a.index(min(dots_a))]
-        xs, ys, zs = self._xs, self._ys, self._zs
         bx, by, bz = xs[b_idx], ys[b_idx], zs[b_idx]
         left: list[int] = []
         right: list[int] = []
@@ -159,19 +154,20 @@ class BallTree:
 
     def _build(self, root_indices: list[int]) -> _Ball:
         # Iterative construction: a degenerate split sequence must not hit the
-        # interpreter recursion limit.
-        root = self._make_ball(root_indices)
-        stack: list[tuple[_Ball, list[int]]] = [(root, root_indices)]
+        # interpreter recursion limit. Each entry carries the index of a point
+        # at its ball's radius, the split's A.
+        root, far_idx = self._make_ball(root_indices)
+        stack: list[tuple[_Ball, list[int], int]] = [(root, root_indices, far_idx)]
         while stack:
-            ball, indices = stack.pop()
+            ball, indices, far_idx = stack.pop()
             if len(indices) <= self.leaf_size:
                 ball.indices = indices
                 continue
-            left_idx, right_idx = self._split(indices)
-            ball.left = self._make_ball(left_idx)
-            ball.right = self._make_ball(right_idx)
-            stack.append((ball.left, left_idx))
-            stack.append((ball.right, right_idx))
+            left_idx, right_idx = self._split(indices, far_idx)
+            ball.left, left_far = self._make_ball(left_idx)
+            ball.right, right_far = self._make_ball(right_idx)
+            stack.append((ball.left, left_idx, left_far))
+            stack.append((ball.right, right_idx, right_far))
         return root
 
     def iter_within(self, query: GeoPoint, radius_m: float, heading: Optional[Heading] = None) -> Iterator[NeighborResult]:

@@ -194,7 +194,7 @@ class TestEstimateKinematics:
         trace = DriveTrace(
             (TraceFix(0, GeoPoint(0, 0)), TraceFix(1000, GeoPoint(0.0002, 0))), "c"
         )
-        total = advisory._cumulative_arcs(trace)[-1]
+        total = trace.arcs[-1]
         cp = checkpoints(trace, total / 2)[1]
         assert cp.arc_position == total / 2
         assert cp.position.lat == pytest.approx(0.0001, rel=1e-9)
@@ -338,7 +338,9 @@ class TestCheckpointsOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(advisory, "haversine_distance", distance)
-            arcs = advisory._cumulative_arcs(trace)
+            if whole_meters:
+                trace = DriveTrace(trace.fixes, trace.clip_id)
+            arcs = trace.arcs
             calls["haversine"] = 0
             mp.setattr(advisory, "initial_bearing", bearing)
             fixes = [f.position for f in trace.fixes]
@@ -360,7 +362,7 @@ class TestCheckpointsOracle:
             calls["bearing"] = 0
             got = checkpoints(trace, k)
 
-        assert calls["haversine"] == len(fixes) - 1  # the arcs are computed once
+        assert calls["haversine"] == 0  # the arcs were measured when the trace was built
         assert calls["bearing"] <= len(moving)
         first_heading = initial_bearing(fixes[moving[0]], fixes[moving[0] + 1])
         assert len(got) == len(expected)
@@ -753,7 +755,7 @@ def replay_scenarios(draw):
 @st.composite
 def windows_along(draw, trace):
     """Disjoint ground-truth windows cut from the drive's length."""
-    length = advisory._cumulative_arcs(trace)[-1]
+    length = trace.arcs[-1]
     cuts = sorted({f * length for f in draw(st.lists(st.floats(0, 1), min_size=2, max_size=10))})
     return [GroundTruthWindow(trace.clip_id, start, end) for start, end in zip(cuts[::2], cuts[1::2])]
 

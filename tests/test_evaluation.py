@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import map_of, make_node, northbound_trace, offset, random_scenario
-from pedmap import evaluation
+from pedmap import advisory, evaluation
 from pedmap.advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, Checkpoint, Transition, run_replay
 from pedmap.evaluation import (
     EvalCounts,
@@ -19,7 +19,7 @@ from pedmap.evaluation import (
     report_to_tsv,
     sweep_sampling_distance,
 )
-from pedmap.geodesy import GeoPoint, Heading
+from pedmap.geodesy import GeoPoint, Heading, haversine_distance
 from pedmap.ingest import HotspotMap
 
 
@@ -224,6 +224,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="sampling_distance"):
             sweep_sampling_distance(trace, hotspot_map, AdvisoryConfig(), [2.0, 3.0, bad], windows)
         assert replayed == []
+
+    def test_sweep_reuses_the_arcs_measured_with_the_trace(self, monkeypatch):
+        trace, hotspot_map, windows = self.scenario()
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return haversine_distance(a, b)
+
+        monkeypatch.setattr(advisory, "haversine_distance", counting)
+        sweep_sampling_distance(trace, hotspot_map, AdvisoryConfig(), [2.0, 3.0, 4.0, 5.0], windows)
+        assert calls == []
 
     def test_recall_nesting_on_random_scenarios(self):
         rng = random.Random(55)

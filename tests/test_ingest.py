@@ -283,6 +283,11 @@ class TestMergeMaps:
         assert merge_maps(merge_maps(a, b), c).nodes == merge_maps(a, merge_maps(b, c)).nodes
         assert merge_maps(a, b, c).nodes == a.nodes + b.nodes + c.nodes
 
+    def test_index_is_not_a_constructor_argument(self):
+        # An index passed in could belong to other nodes; the map builds its own.
+        with pytest.raises(TypeError):
+            HotspotMap(self.nodes(1, 5), HotspotMap(self.nodes(2, 3)).index)
+
     def test_merge_invalidates_index(self):
         a = HotspotMap(self.nodes(1, 5))
         a.build_spatial_index()

@@ -312,6 +312,32 @@ class TestGlobalQueries:
         assert [(h.distance, h.node_index) for h in tree.iter_within(query, radius)] == scan
 
 
+# Sites and points anywhere, with their antipodes, plus a pair of exactly
+# opposite unit vectors, drawn with repetition so duplicates are common.
+_ball_points = st.lists(st.one_of(_sites, _anywhere), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.sampled_from(pool + [_antipode(p) for p in pool] + [GeoPoint(0, -166), GeoPoint(0, 14)]),
+        min_size=1,
+        max_size=60,
+    )
+)
+
+
+class TestMakeBall:
+    @settings(max_examples=300, deadline=None)
+    @given(_ball_points, st.data())
+    def test_returned_point_lies_on_the_radius(self, points, data):
+        # The split takes this point as A, so it must be a member, and its
+        # chord to the center, computed as _make_ball computes it, is the radius.
+        tree = build_index(points)
+        indices = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1, unique=True))
+        ball, far = tree._make_ball(indices)
+        assert far in indices
+        cx, cy, cz = ball.center
+        dx, dy, dz = tree._xs[far] - cx, tree._ys[far] - cy, tree._zs[far] - cz
+        assert math.sqrt(dx * dx + dy * dy + dz * dz) == ball.radius
+
+
 @st.composite
 def _headed_query(draw):
     """A query anywhere, at a pole or on the antimeridian, a heading, and
