@@ -16,7 +16,7 @@ as every in-radius node has fallen behind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from math import isfinite
 from typing import Iterable, Iterator, Literal, Optional
@@ -74,9 +74,9 @@ class AdvisoryConfig:
     min_count: int = field(default=1, metadata={"help": "Minimum sightings for a node to trigger."})
 
     def __post_init__(self) -> None:
-        for name in ("reaction_time", "friction", "grade", "safety_factor", "sampling_distance", "heading_threshold"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if type(f.default) is float and not isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.reaction_time <= 0:
             raise ValueError("reaction_time must be > 0")
         if self.safety_factor <= 0:
@@ -209,8 +209,9 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     multiple of K is a subset of the set for K, independent of GPS fix spacing.
     An arc exactly on a fix belongs to the segment starting there, stationary
     included, and the heading is that of the latest moving segment (the first
-    one, while the drive begins parked). The arcs are the trace's own
-    ``arcs``, so a drive sampled at several K is measured only once.
+    one, while the drive begins parked). Motion is listed once per call; a
+    heading is computed only on reaching a new moving segment. The arcs are the
+    trace's own ``arcs``, so a drive sampled at several K is measured only once.
     ``sampling_distance`` must pass the check ``AdvisoryConfig`` applies:
     finite, and at least ``MIN_SAMPLING_DISTANCE_M``.
     """
@@ -225,24 +226,21 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     n = int(total / sampling_distance + 1e-9)
     if n * sampling_distance > total + ARC_TOLERANCE_M:
         n -= 1
-    seg = 0
-    scanned = 0  # segments [0, scanned) have been checked for motion
-    moving = -1  # latest moving segment at or before seg, else the first one
+    moving = [s for s in range(last + 1) if not coincident(fixes[s].position, fixes[s + 1].position)]
+    if not moving:
+        raise ValueError("degenerate trace: no segment with a defined heading")
+    seg = m = 0  # moving[m] is the latest moving segment at or before seg, else the first one
     heading_of = -1  # the segment ``heading`` was last computed from
     result = []
     for i in range(n + 1):
         arc = i * sampling_distance
         while seg < last and arcs[seg] < arc and arcs[seg + 1] <= arc:
             seg += 1
-        while scanned <= seg or moving < 0:
-            if scanned > last:
-                raise ValueError("degenerate trace: no segment with a defined heading")
-            if not coincident(fixes[scanned].position, fixes[scanned + 1].position):
-                moving = scanned
-            scanned += 1
-        if heading_of != moving:
-            heading = initial_bearing(fixes[moving].position, fixes[moving + 1].position)
-            heading_of = moving
+        while m + 1 < len(moving) and moving[m + 1] <= seg:
+            m += 1
+        if heading_of != moving[m]:
+            heading_of = moving[m]
+            heading = initial_bearing(fixes[heading_of].position, fixes[heading_of + 1].position)
         a, b = fixes[seg], fixes[seg + 1]
         seg_len = arcs[seg + 1] - arcs[seg]
         frac = min((arc - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0
@@ -270,8 +268,6 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
     the decision is the one a scan of all nodes gives.
     """
     radius = stopping_distance(cp.speed, cfg)
-    nearest_d: Optional[float] = None
-    nearest_sep: Optional[float] = None
     heading = cp.heading if cfg.heading_threshold <= 90 else None
     for hit in hotspot_map.index.iter_within(cp.position, radius, heading):
         node = hotspot_map.nodes[hit.node_index]
@@ -284,10 +280,8 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
             if sep > cfg.heading_threshold:
                 continue
         # Hits arrive in (distance, index) order, so the first survivor is the nearest.
-        nearest_d = hit.distance
-        nearest_sep = sep
-        break
-    return AdvisoryDecision(cp, nearest_d is not None, radius, nearest_d, nearest_sep)
+        return AdvisoryDecision(cp, True, radius, hit.distance, sep)
+    return AdvisoryDecision(cp, False, radius)
 
 
 def run_replay(
@@ -333,21 +327,6 @@ def parse_trace_csv(source: Iterable[str]) -> list[DriveTrace]:
     return traces
 
 
-def decision_to_record(decision: AdvisoryDecision) -> dict:
-    cp = decision.checkpoint
-    return {
-        "arc_m": cp.arc_position,
-        "lat": cp.position.lat,
-        "lon": cp.position.lon,
-        "speed_kmh": cp.speed,
-        "heading_deg": cp.heading.degrees,
-        "stopping_distance_m": decision.stopping_distance,
-        "active": decision.active,
-        "nearest_front_m": decision.nearest_front_distance,
-        "nearest_front_sep_deg": decision.nearest_front_heading_sep,
-    }
-
-
 # ``json.dumps``'s defaults, and with them its C encoder, but NaN and inf raise.
 _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
 
@@ -355,4 +334,15 @@ _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
 def timeline_to_jsonl(timeline: AdvisoryTimeline) -> Iterator[str]:
     """One JSON object per advisory decision, in replay order; a non-finite value raises ValueError."""
     for decision in timeline.decisions:
-        yield _JSONL_ENCODER.encode(decision_to_record(decision))
+        cp = decision.checkpoint
+        yield _JSONL_ENCODER.encode({
+            "arc_m": cp.arc_position,
+            "lat": cp.position.lat,
+            "lon": cp.position.lon,
+            "speed_kmh": cp.speed,
+            "heading_deg": cp.heading.degrees,
+            "stopping_distance_m": decision.stopping_distance,
+            "active": decision.active,
+            "nearest_front_m": decision.nearest_front_distance,
+            "nearest_front_sep_deg": decision.nearest_front_heading_sep,
+        })

@@ -61,7 +61,7 @@ class EvalReport:
 
 
 def match_advisories(timeline: AdvisoryTimeline, windows: Sequence[GroundTruthWindow]) -> EvalCounts:
-    """Count correct/false advisory events and missed windows for one clip.
+    """Count correct events (those matching a window), false advisories (every other event) and missed windows.
 
     An event and a window match when they overlap in positive length, with the
     event extended by one sampling distance on each side. One event spanning
@@ -74,10 +74,10 @@ def match_advisories(timeline: AdvisoryTimeline, windows: Sequence[GroundTruthWi
             )
     k = timeline.sampling_distance
     decisions = timeline.decisions
+    events = timeline.events
     correct = 0
-    false_advisories = 0
     matched = [False] * len(windows)
-    for start, stop in timeline.events:
+    for start, stop in events:
         lo = decisions[start].checkpoint.arc_position - k
         hi = decisions[stop - 1].checkpoint.arc_position + k
         hit_any = False
@@ -87,9 +87,7 @@ def match_advisories(timeline: AdvisoryTimeline, windows: Sequence[GroundTruthWi
                 matched[i] = True
         if hit_any:
             correct += 1
-        else:
-            false_advisories += 1
-    return EvalCounts(correct, false_advisories, matched.count(False))
+    return EvalCounts(correct, len(events) - correct, matched.count(False))
 
 
 def precision(counts: EvalCounts) -> Optional[float]:

@@ -43,7 +43,9 @@ class Heading:
     degrees: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", self.degrees % 360.0)
+        d = self.degrees % 360.0
+        # A tiny negative angle rounds up to exactly 360 under the modulo.
+        object.__setattr__(self, "degrees", 0.0 if d == 360.0 else d)
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
@@ -73,7 +75,7 @@ def initial_bearing(origin: GeoPoint, target: GeoPoint) -> Heading:
     dlon = radians(target.lon - origin.lon)
     x = sin(dlon) * cos(lat2)
     y = cos(lat1) * sin(lat2) - sin(lat1) * cos(lat2) * cos(dlon)
-    return Heading(degrees(atan2(x, y)) % 360.0)
+    return Heading(degrees(atan2(x, y)))
 
 
 def angular_separation(a: Heading, b: Heading) -> float:

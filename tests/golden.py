@@ -32,6 +32,10 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
+from click.testing import CliRunner
+
+from pedmap.cli import main
+
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS_DIR = os.path.join(GOLDEN_DIR, "inputs")
 EXPECTED_DIR = os.path.join(GOLDEN_DIR, "expected")
@@ -78,10 +82,6 @@ CASES = (
 def run_case(case: Case, workdir: str) -> dict[str, bytes]:
     """Run ``case`` in ``workdir`` (which holds a copy of the inputs) and return its
     terminal output and written files by name; raise if its exit code is not the expected one."""
-    from click.testing import CliRunner
-
-    from pedmap.cli import main
-
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -177,7 +177,7 @@ def _training_rows(rng: random.Random, clip_id: str, start_ms: int, origin: tupl
 
 
 def write_inputs(directory: str) -> None:
-    """Write the scenario files from ``SEED``; nothing here imports the program."""
+    """Write the scenario files from ``SEED``, without calling the program."""
     rng = random.Random(SEED)
     os.makedirs(directory, exist_ok=True)
 

@@ -87,6 +87,14 @@ class TestAdvisoryConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             AdvisoryConfig(**{name: value})
 
+    def test_non_finite_checked_in_field_order(self):
+        with pytest.raises(ValueError, match="^reaction_time must be finite$"):
+            AdvisoryConfig(heading_threshold=math.nan, reaction_time=math.inf)
+
+    def test_huge_min_count_builds(self):
+        # min_count is an int, so it never reaches isfinite, which would overflow on it.
+        assert AdvisoryConfig(min_count=10**400).min_count == 10**400
+
 
 class TestStoppingDistance:
     def test_zero_speed(self):

@@ -89,6 +89,19 @@ class TestHaversine:
             )
 
 
+class TestHeading:
+    def test_tiny_negative_angle_is_zero(self):
+        # -1e-20 % 360.0 rounds to exactly 360.0, outside [0, 360).
+        assert Heading(-1e-20).degrees == 0.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_range_and_double_modulo(self, x):
+        degrees = Heading(x).degrees
+        assert 0.0 <= degrees < 360.0
+        # The value initial_bearing returned when it reduced the angle before Heading did.
+        assert degrees == x % 360.0 % 360.0
+
+
 class TestInitialBearing:
     def test_cardinal_directions(self):
         assert initial_bearing(GeoPoint(0, 0), GeoPoint(1, 0)).degrees == pytest.approx(0.0, abs=1e-9)
