@@ -261,11 +261,10 @@ def evaluate_checkpoint(cp: Checkpoint, hotspot_map: HotspotMap, cfg: AdvisoryCo
     distance and no more than ``heading_threshold`` degrees off the direction of
     travel. A node the vehicle is standing on counts as in front.
 
-    For thresholds up to 90 degrees the index is given the heading, and skips
-    nodes and whole balls that lie behind the vehicle by a half-space test.
-    That test keeps every node within 90 degrees and every node within
-    ``COINCIDENT_M``, and each hit still passes through the rule below, so
-    the decision is the one a scan of all nodes gives.
+    For thresholds up to 90 degrees the index is given the heading and skips
+    what lies behind the vehicle (see ``spatial_index``). It still yields every
+    node this rule can accept, those within ``COINCIDENT_M`` included, so the
+    decision is the one a scan of all nodes gives.
     """
     radius = stopping_distance(cp.speed, cfg)
     heading = cp.heading if cfg.heading_threshold <= 90 else None

@@ -76,18 +76,14 @@ def match_advisories(timeline: AdvisoryTimeline, windows: Sequence[GroundTruthWi
     decisions = timeline.decisions
     events = timeline.events
     correct = 0
-    matched = [False] * len(windows)
+    matched: set[int] = set()
     for start, stop in events:
         lo = decisions[start].checkpoint.arc_position - k
         hi = decisions[stop - 1].checkpoint.arc_position + k
-        hit_any = False
-        for i, w in enumerate(windows):
-            if min(hi, w.end_m) - max(lo, w.start_m) > 0:
-                hit_any = True
-                matched[i] = True
-        if hit_any:
-            correct += 1
-    return EvalCounts(correct, len(events) - correct, matched.count(False))
+        hits = {i for i, w in enumerate(windows) if min(hi, w.end_m) - max(lo, w.start_m) > 0}
+        correct += bool(hits)
+        matched |= hits
+    return EvalCounts(correct, len(events) - correct, len(windows) - len(matched))
 
 
 def precision(counts: EvalCounts) -> Optional[float]:

@@ -58,10 +58,8 @@ class DetectionRecord:
 class Interval:
     """All fixes of one clip falling inside a single 1-second wall-clock bin."""
 
-    index: int  # epoch second (start_ms // 1000)
     clip_id: str
-    start_ms: int
-    end_ms: int
+    start_ms: int  # the bin is [start_ms, start_ms + 1000)
     fixes: tuple[GeoPoint, ...]
     counts: tuple[int, ...]
 
@@ -177,7 +175,7 @@ def split_intervals(records: list[DetectionRecord]) -> list[Interval]:
     intervals = []
     for (clip, sec), group in groupby(records, _bin_key):
         fixes, counts = zip(*((r.position, r.pedestrian_count) for r in group))
-        intervals.append(Interval(sec, clip, sec * 1000, sec * 1000 + 1000, fixes, counts))
+        intervals.append(Interval(clip, sec * 1000, fixes, counts))
     return intervals
 
 

@@ -82,19 +82,19 @@ class NeighborResult(NamedTuple):
 class _Ball:
     __slots__ = ("center", "radius", "left", "right", "indices")
 
-    def __init__(self, center: tuple[float, float, float], radius: float):
+    def __init__(self, center: tuple[float, float, float], radius: float, indices: Optional[list[int]] = None):
         self.center = center  # a unit vector
         self.radius = radius  # a chord on the unit sphere
         self.left: Optional[_Ball] = None
         self.right: Optional[_Ball] = None
-        self.indices: Optional[list[int]] = None  # set on leaves only
+        self.indices = indices  # set on leaves only
 
 
 class BallTree:
     """Immutable nearest-neighbor index over a fixed list of points.
 
     Built once, then safe for unlimited concurrent queries. An empty point
-    list yields an empty tree whose queries return no neighbors.
+    list yields a tree of one empty leaf, whose queries return no neighbors.
     """
 
     def __init__(self, points: Sequence[GeoPoint], leaf_size: int = DEFAULT_LEAF_SIZE):
@@ -109,7 +109,7 @@ class BallTree:
             self._xs.append(x)
             self._ys.append(y)
             self._zs.append(z)
-        self._root = self._build(list(range(len(self._points)))) if self._points else None
+        self._root = self._build(list(range(len(self._points)))) if self._points else _Ball((0.0, 0.0, 0.0), 0.0, [])
 
     def __len__(self) -> int:
         return len(self._points)
@@ -174,12 +174,9 @@ class BallTree:
         """Lazily yield the points within ``radius_m`` meters in ``(distance, node_index)`` order.
 
         With a ``heading``, points that lie behind it may be left out, whole
-        balls of them at a time: a ball is skipped when ``t·c + r`` is below
-        ``-_CHORD_SLACK``, and a point when ``t·q`` is, where ``t`` is the unit
-        tangent of the heading at ``query``. The bearing toward ``q`` is within
-        90 degrees of the heading exactly when ``t·q >= 0``, so every point
-        within 90 degrees, and every point within 6 µm of ``query``, is still
-        yielded, in the same order.
+        balls of them at a time, by the half-space test the module docstring
+        derives. Every point within 90 degrees of the heading, and every point
+        within 6 µm of ``query``, is still yielded, in the same order.
 
         A negative radius raises here, not at the first ``next()``; a NaN radius yields nothing.
         """
@@ -190,8 +187,6 @@ class BallTree:
     def _browse(self, query: GeoPoint, radius_m: float, heading: Optional[Heading]) -> Iterator[NeighborResult]:
         # Heap entries are (key, kind, tiebreak, ball), kind 0 for a ball and 1
         # for a point; ``<=`` tests keep a NaN radius from admitting anything.
-        if self._root is None:
-            return
         pts, xs, ys, zs = self._points, self._xs, self._ys, self._zs
         q = qx, qy, qz = _unit_vector(query)
         # With no heading t is zero and the half-space tests never fire.
@@ -201,7 +196,7 @@ class BallTree:
         chord_r = 2.0 * sin(min(radius_m / _TWO_R, pi / 2))
         reach = chord_r + _CHORD_SLACK
         reach_sq = reach * reach
-        # The root needs no bound of its own: its children are bounded when it pops.
+        # The root's own bound is never read (an empty tree's is a placeholder); its children are bounded when it pops.
         heap: list[tuple[float, int, int, Optional[_Ball]]] = [(-inf, 0, 0, self._root)]
         seq = 0
         while heap:
@@ -240,9 +235,7 @@ class BallTree:
         return list(self.iter_within(query, radius_m))
 
 
-def build_index(points: Sequence[GeoPoint], leaf_size: int = DEFAULT_LEAF_SIZE) -> BallTree:
-    """Build a ball tree over ``points``; deterministic for a given input order."""
-    return BallTree(points, leaf_size=leaf_size)
+build_index = BallTree
 
 
 def nearest_brute_force(points: Sequence[GeoPoint], query: GeoPoint) -> Optional[NeighborResult]:

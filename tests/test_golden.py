@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from golden import CASES, EXPECTED_DIR, INPUTS_DIR, TERMINAL, first_difference, run_case
+from golden import CASES, EXPECTED_DIR, INPUTS_DIR, TERMINAL, first_difference, run_case, write_inputs
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -19,6 +19,17 @@ def test_output_bytes(case, tmp_path):
             expected = f.read()
         if actual != expected:
             pytest.fail(f"{case.name}/{name} differs at {first_difference(expected, actual)}")
+
+
+def test_generator_writes_the_committed_inputs(tmp_path):
+    write_inputs(str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(INPUTS_DIR))
+    for name in os.listdir(INPUTS_DIR):
+        with open(os.path.join(INPUTS_DIR, name), "rb") as f:
+            expected = f.read()
+        actual = (tmp_path / name).read_bytes()
+        if actual != expected:
+            pytest.fail(f"inputs/{name} differs at {first_difference(expected, actual)}")
 
 
 def _sweep_rows(case_name):

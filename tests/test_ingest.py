@@ -37,7 +37,7 @@ def rec(ts, lat, lon, count, clip="clipA"):
 def interval_of(fixes, counts, clip="clipA", sec=0):
     from pedmap.ingest import Interval
 
-    return Interval(sec, clip, sec * 1000, sec * 1000 + 1000, tuple(fixes), tuple(counts))
+    return Interval(clip, sec * 1000, tuple(fixes), tuple(counts))
 
 
 class TestParseDetectionLog:
@@ -96,7 +96,6 @@ class TestSplitIntervals:
         assert len(intervals) == 1
         assert len(intervals[0].fixes) == 3
         assert intervals[0].start_ms == 1000
-        assert intervals[0].end_ms == 2000
 
     def test_boundary_lands_in_next_window(self):
         intervals = split_intervals([rec(1000, 0, 0, 1), rec(2000, 0, 0, 1)])

@@ -47,6 +47,7 @@ class TestBuild:
         assert len(tree) == 0
         assert tree.nearest(GeoPoint(0, 0)) is None
         assert tree.within_radius(GeoPoint(0, 0), 1e9) == []
+        assert list(tree.iter_within(GeoPoint(0, 0), 1e9, Heading(0))) == []
 
     def test_single_point(self):
         p = GeoPoint(10, 20)
