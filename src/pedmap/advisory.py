@@ -30,7 +30,7 @@ from .geodesy import (
     initial_bearing,
     interpolate_along,
 )
-from .ingest import HotspotMap, _read_rows
+from .ingest import _NON_FINITE_JSON, HotspotMap, _read_rows
 
 TRACE_HEADER = ["timestamp", "latitude", "longitude", "clip_id"]
 
@@ -334,14 +334,18 @@ def timeline_to_jsonl(timeline: AdvisoryTimeline) -> Iterator[str]:
     """One JSON object per advisory decision, in replay order; a non-finite value raises ValueError."""
     for decision in timeline.decisions:
         cp = decision.checkpoint
-        yield _JSONL_ENCODER.encode({
-            "arc_m": cp.arc_position,
-            "lat": cp.position.lat,
-            "lon": cp.position.lon,
-            "speed_kmh": cp.speed,
-            "heading_deg": cp.heading.degrees,
-            "stopping_distance_m": decision.stopping_distance,
-            "active": decision.active,
-            "nearest_front_m": decision.nearest_front_distance,
-            "nearest_front_sep_deg": decision.nearest_front_heading_sep,
-        })
+        try:
+            line = _JSONL_ENCODER.encode({
+                "arc_m": cp.arc_position,
+                "lat": cp.position.lat,
+                "lon": cp.position.lon,
+                "speed_kmh": cp.speed,
+                "heading_deg": cp.heading.degrees,
+                "stopping_distance_m": decision.stopping_distance,
+                "active": decision.active,
+                "nearest_front_m": decision.nearest_front_distance,
+                "nearest_front_sep_deg": decision.nearest_front_heading_sep,
+            })
+        except ValueError:
+            raise ValueError(_NON_FINITE_JSON) from None
+        yield line

@@ -27,13 +27,18 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        lon = ((self.lon + 180.0) % 360.0) - 180.0
-        if lon != lon:  # NaN, which is also what the normalization makes of +-inf
-            raise ValueError(f"longitude {self.lon} is not finite")
-        object.__setattr__(self, "lon", lon)
+    # Written by hand to store each field once, through its slot setter (bound below): one point per CSV row.
+    def __init__(self, lat: float, lon: float) -> None:
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"latitude {lat} outside [-90, 90]")
+        normalized = ((lon + 180.0) % 360.0) - 180.0
+        if normalized != normalized:  # NaN, which is also what the normalization makes of +-inf
+            raise ValueError(f"longitude {lon} is not finite")
+        _set_lat(self, lat)
+        _set_lon(self, normalized)
+
+
+_set_lat, _set_lon = GeoPoint.lat.__set__, GeoPoint.lon.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -49,9 +49,17 @@ class DetectionRecord:
     pedestrian_count: int
     clip_id: str
 
-    def __post_init__(self) -> None:
-        if self.pedestrian_count < 0:
+    # Written by hand, like ``GeoPoint``'s and ``HotspotNode``'s: one record per CSV row.
+    def __init__(self, timestamp_ms: int, position: GeoPoint, pedestrian_count: int, clip_id: str) -> None:
+        if pedestrian_count < 0:
             raise ValueError("pedestrian_count must be >= 0")
+        _set_record_ts(self, timestamp_ms)
+        _set_record_position(self, position)
+        _set_record_count(self, pedestrian_count)
+        _set_record_clip(self, clip_id)
+
+
+_set_record_ts, _set_record_position, _set_record_count, _set_record_clip = (getattr(DetectionRecord, f.name).__set__ for f in fields(DetectionRecord))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +81,16 @@ class HotspotNode:
     timestamp_ms: int
     clip_id: str
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+    def __init__(self, position: GeoPoint, count: int, timestamp_ms: int, clip_id: str) -> None:
+        if count < 1:
             raise ValueError("hotspot nodes require count >= 1")
+        _set_node_position(self, position)
+        _set_node_count(self, count)
+        _set_node_ts(self, timestamp_ms)
+        _set_node_clip(self, clip_id)
+
+
+_set_node_position, _set_node_count, _set_node_ts, _set_node_clip = (getattr(HotspotNode, f.name).__set__ for f in fields(HotspotNode))
 
 
 @dataclass
@@ -141,8 +156,13 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
         raise ParseError(str(exc), reader.line_num) from None
 
 
-# Records are ordered by clip, then time, before they are binned.
-_record_order = attrgetter("clip_id", "timestamp_ms")
+def _in_record_order(records: Iterable[DetectionRecord]) -> list[DetectionRecord]:
+    """The records ordered by clip, then time, as they are binned. A stable sort by
+    time, then one by clip, gives the order of one sort on ``(clip_id, timestamp_ms)``,
+    ties included, with no key tuple per record."""
+    ordered = sorted(records, key=attrgetter("timestamp_ms"))
+    ordered.sort(key=attrgetter("clip_id"))
+    return ordered
 
 
 def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
@@ -157,8 +177,7 @@ def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
         if count < 0:
             raise ParseError(f"negative pedestrian_count {count}", line)
         records.append(DetectionRecord(ts, position, count, row[4]))
-    records.sort(key=_record_order)
-    return records
+    return _in_record_order(records)
 
 
 def _bin_key(r: DetectionRecord) -> tuple[str, int]:
@@ -221,7 +240,7 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
     """
     total = _count_rule(count_mode)
     nodes = []
-    for (clip, sec), group in groupby(sorted(records, key=_record_order), _bin_key):
+    for (clip, sec), group in groupby(_in_record_order(records), _bin_key):
         group = list(group)
         node = _hotspot([r.position for r in group], [r.pedestrian_count for r in group], sec * 1000, clip, total)
         if node is not None:
@@ -238,6 +257,8 @@ def merge_maps(*maps: HotspotMap) -> HotspotMap:
 
 
 _NODE_KEYS = ("lat", "lon", "count", "timestamp_ms", "clip_id")
+# ``json``'s error for NaN and inf, without the value Python 3.12 and later append.
+_NON_FINITE_JSON = "Out of range float values are not JSON compliant"
 
 
 def _node_values(n: HotspotNode) -> tuple:
@@ -294,7 +315,7 @@ def _node_texts(nodes: list[HotspotNode]) -> Iterator[str]:
     for n in nodes:
         lat, lon, count, timestamp_ms, clip_id = _node_values(n)
         if not (isfinite(lat) and isfinite(lon)):
-            raise ValueError("Out of range float values are not JSON compliant")
+            raise ValueError(_NON_FINITE_JSON)
         yield node_format(sep, repr(lat), repr(lon), repr(count), repr(timestamp_ms), encode_basestring_ascii(clip_id))
         sep = ",\n"
 

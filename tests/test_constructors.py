@@ -1,0 +1,172 @@
+"""Oracle tests for the written-out constructors of ``GeoPoint``, ``DetectionRecord``
+and ``HotspotNode``.
+
+Each class's ``__init__`` checks its arguments and then stores each field once
+through its slot. It must raise what the dataclass-generated ``__init__`` plus
+the ``__post_init__`` below raised, and store the same values bit for bit. The
+``Old*`` classes are copies of those definitions, kept here as the oracle.
+"""
+
+import copy
+import dataclasses
+import math
+import pickle
+import struct
+from dataclasses import FrozenInstanceError, dataclass
+
+import pytest
+from hypothesis import given, strategies as st
+
+from pedmap.geodesy import GeoPoint
+from pedmap.ingest import DetectionRecord, HotspotNode
+
+
+@dataclass(frozen=True, slots=True)
+class OldGeoPoint:
+    lat: float
+    lon: float
+
+    def __post_init__(self) -> None:
+        if not -90.0 <= self.lat <= 90.0:
+            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
+        lon = ((self.lon + 180.0) % 360.0) - 180.0
+        if lon != lon:  # NaN, which is also what the normalization makes of +-inf
+            raise ValueError(f"longitude {self.lon} is not finite")
+        object.__setattr__(self, "lon", lon)
+
+
+@dataclass(frozen=True, slots=True)
+class OldDetectionRecord:
+    timestamp_ms: int
+    position: GeoPoint
+    pedestrian_count: int
+    clip_id: str
+
+    def __post_init__(self) -> None:
+        if self.pedestrian_count < 0:
+            raise ValueError("pedestrian_count must be >= 0")
+
+
+@dataclass(frozen=True, slots=True)
+class OldHotspotNode:
+    position: GeoPoint
+    count: int
+    timestamp_ms: int
+    clip_id: str
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("hotspot nodes require count >= 1")
+
+
+def stored(obj) -> tuple:
+    """Each field's type and value; floats by their IEEE bytes, so 0.0 and -0.0 differ and NaN matches itself."""
+    values = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if type(value) is float:
+            values.append((float, struct.pack("<d", value)))
+        elif dataclasses.is_dataclass(value):
+            values.append((type(value), stored(value)))
+        else:
+            values.append((type(value), value))
+    return tuple(values)
+
+
+def outcome(cls, *args, **kwargs) -> tuple:
+    """What constructing ``cls`` does: the exception type and message it raises, or the values it stores."""
+    try:
+        return "stored", stored(cls(*args, **kwargs))
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+_EDGES = [0.0, -0.0, 0, 5e-324, 90.0, -90.0, 90, 180.0, -180.0, 180, -180, 360.0, 540, 1.7976931348623157e308]
+_EDGES += [math.nan, -math.nan, math.inf, -math.inf]
+# Any float (NaN, +-inf and -0.0 included) or int, with the edges drawn often.
+numbers = st.one_of(st.sampled_from(_EDGES), st.floats(), st.integers())
+positions = st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180))
+clips = st.text(max_size=3)
+
+# (class, its oracle, any arguments, arguments it accepts)
+CASES = [
+    (
+        GeoPoint,
+        OldGeoPoint,
+        st.tuples(numbers, numbers),
+        st.tuples(
+            st.one_of(st.floats(-90, 90), st.integers(-90, 90)),
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6)),
+        ),
+    ),
+    (
+        DetectionRecord,
+        OldDetectionRecord,
+        st.tuples(numbers, positions, numbers, clips),
+        st.tuples(st.integers(), positions, st.integers(min_value=0), clips),
+    ),
+    (
+        HotspotNode,
+        OldHotspotNode,
+        st.tuples(positions, numbers, numbers, clips),
+        st.tuples(positions, st.integers(min_value=1), st.integers(), clips),
+    ),
+]
+cases = pytest.mark.parametrize("cls, old, any_args, valid_args", CASES, ids=[case[0].__name__ for case in CASES])
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@cases
+@given(data=st.data())
+def test_raises_or_stores_what_the_old_constructor_did(cls, old, any_args, valid_args, data):
+    args = data.draw(any_args)
+    expected = outcome(old, *args)
+    assert outcome(cls, *args) == expected
+    assert outcome(cls, **dict(zip(field_names(cls), args))) == expected
+
+
+@cases
+@given(data=st.data())
+def test_replace_copy_pickle_freeze_and_hash(cls, old, any_args, valid_args, data):
+    args = data.draw(valid_args)
+    obj, old_obj = cls(*args), old(*args)
+    assert stored(obj) == stored(old_obj)
+    # ``replace`` goes through the constructor again, checks and normalization included.
+    name = data.draw(st.sampled_from(field_names(cls)))
+    change = {name: data.draw(any_args)[field_names(cls).index(name)]}
+    assert outcome(dataclasses.replace, obj, **change) == outcome(dataclasses.replace, old_obj, **change)
+    for clone in (dataclasses.replace(obj), copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is cls
+        assert clone == obj
+        assert hash(clone) == hash(obj)
+    for name in field_names(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    again = cls(*args)
+    assert again == obj
+    assert hash(again) == hash(obj) == hash(old_obj)
+
+
+class TestGeoPointEdges:
+    def test_lon_180_and_minus_180_are_one_point(self):
+        east, west = GeoPoint(12.5, 180.0), GeoPoint(12.5, -180.0)
+        assert east == west
+        assert hash(east) == hash(west)
+        assert dataclasses.replace(west, lon=180) == west
+
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_replace_rejects_non_finite_lon(self, lon):
+        with pytest.raises(ValueError, match=f"^longitude {lon} is not finite$"):
+            dataclasses.replace(GeoPoint(0.0, 0.0), lon=lon)
+
+    def test_keyword_construction(self):
+        assert GeoPoint(lon=359.0, lat=-0.0) == GeoPoint(-0.0, -1.0)
+        with pytest.raises(TypeError):
+            GeoPoint(1.0)
+        with pytest.raises(TypeError):
+            GeoPoint(1.0, 2.0, 3.0)

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from pedmap.ingest import (
     HotspotMap,
     HotspotNode,
     ParseError,
+    _in_record_order,
     aggregate_interval,
     build_map,
     map_from_dict,
@@ -87,6 +89,33 @@ class TestParseDetectionLog:
             ("b", 1000),
             ("b", 3000),
         ]
+
+    def test_shuffled_log_with_ties_keeps_file_order_within_a_tie(self):
+        lines = ["3000,0,0,7,b", "1000,0,0,1,a", "2000,0,0,2,c", "1000,0,0,3,b", "1000,0,0,4,a", "500,0,0,5,c", "2000,0,0,6,a"]
+        records = parse_detection_log(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+        assert [(r.clip_id, r.timestamp_ms, r.pedestrian_count) for r in records] == [
+            ("a", 1000, 1),
+            ("a", 1000, 4),
+            ("a", 2000, 6),
+            ("b", 1000, 3),
+            ("b", 3000, 7),
+            ("c", 500, 5),
+            ("c", 2000, 2),
+        ]
+
+
+class TestRecordOrder:
+    @given(
+        st.lists(
+            st.builds(rec, st.integers(0, 3), st.just(0.0), st.just(0.0), st.integers(0, 2), st.sampled_from("abc")),
+            max_size=40,
+        )
+    )
+    def test_same_objects_as_one_sort_on_the_key_tuple(self, records):
+        before = list(records)
+        expected = sorted(records, key=attrgetter("clip_id", "timestamp_ms"))
+        assert [id(r) for r in _in_record_order(records)] == [id(r) for r in expected]
+        assert [id(r) for r in records] == [id(r) for r in before]  # the caller's list is not reordered
 
 
 class TestSplitIntervals:

@@ -21,8 +21,6 @@ def random_points(rng, n, lat0=32.8, lon0=-117.3, extent=0.1):
 
 def collect_balls(tree):
     """Yield (ball, indices of all points in its subtree) for every tree node."""
-    if tree._root is None:
-        return
     stack = [tree._root]
     while stack:
         ball = stack.pop()
