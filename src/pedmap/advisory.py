@@ -40,7 +40,7 @@ COINCIDENT_M = 1e-6
 
 KMH_PER_MPS = 3.6
 
-# Timestamps are interpolated in floats, which hold integers exactly only up to here.
+# Speeds divide by timestamp differences as floats; within this bound each converts finite, rounded at most once.
 MAX_TIMESTAMP_MS = 2**53
 
 # A finer grid is no use at GPS accuracy, and one near 0 m never finishes.
@@ -128,13 +128,12 @@ class DriveTrace:
 
 @dataclass(frozen=True, slots=True)
 class Checkpoint:
-    """An along-track sample where the advisory condition is evaluated."""
+    """An along-track sample where the advisory condition is evaluated: position, heading and speed."""
 
     arc_position: float  # meters from trace start; a multiple of the sampling distance
     position: GeoPoint
     heading: Heading
     speed: float  # km/h
-    timestamp_ms: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,8 +201,8 @@ def stopping_distance(speed_kmh: float, cfg: AdvisoryConfig) -> float:
 
 
 def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]:
-    """Checkpoints on the fixed arc-length grid 0, K, 2K, ... within the trace,
-    taken in one forward walk over its segments.
+    """Position, heading and segment speed at each arc of the fixed grid 0, K, 2K, ...
+    within the trace, taken in one forward walk over its segments.
 
     The grid is anchored at the trace start so that the checkpoint set for a
     multiple of K is a subset of the set for K, independent of GPS fix spacing.
@@ -245,9 +244,8 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
         seg_len = arcs[seg + 1] - arcs[seg]
         frac = min((arc - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0
         position = interpolate_along(a.position, b.position, frac)
-        timestamp = round(a.timestamp_ms + frac * (b.timestamp_ms - a.timestamp_ms))
         speed_kmh = seg_len / ((b.timestamp_ms - a.timestamp_ms) / 1000.0) * KMH_PER_MPS
-        result.append(Checkpoint(arc, position, heading, speed_kmh, timestamp))
+        result.append(Checkpoint(arc, position, heading, speed_kmh))
     return result
 
 

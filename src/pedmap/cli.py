@@ -11,6 +11,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from typing import Iterator, Optional
 
 import click
@@ -60,11 +61,11 @@ def _write(text: str, out_path: Optional[str], summary: str) -> None:
         sys.stdout.write(text)
 
 
-def config_options(command):
-    """Advisory flags shared by replay/eval/sweep: one per AdvisoryConfig field, in field order,
-    with the field's default, type and ``help`` metadata (``min_count`` becomes ``--min-count``)."""
+def config_options(command, omit: tuple[str, ...] = ()):
+    """Advisory flags for replay/eval/sweep: one per AdvisoryConfig field not in ``omit``, in field
+    order, with its default, type and ``help`` metadata (``min_count`` becomes ``--min-count``)."""
     # ``f.type`` is a string under postponed annotations, so the default gives the type.
-    for f in reversed(fields(advisory.AdvisoryConfig)):
+    for f in reversed([f for f in fields(advisory.AdvisoryConfig) if f.name not in omit]):
         flag = "--" + f.name.replace("_", "-")
         command = click.option(flag, type=type(f.default), default=f.default, show_default=True, help=f.metadata["help"])(command)
     return command
@@ -170,7 +171,7 @@ def eval_cmd(**kwargs) -> None:
 @click.option("--ks", default="2,3,4,5", show_default=True, help="Comma-separated sampling distances in meters.")
 @click.option("--clip", help="Clip id to evaluate when the trace CSV holds several.")
 @click.option("--markdown", is_flag=True, help="Render a Markdown table instead of TSV.")
-@config_options
+@partial(config_options, omit=("sampling_distance",))  # ``--ks`` alone sets its K values
 def sweep(**kwargs) -> None:
     """Score replays across a list of sampling distances."""
     _score(**kwargs)

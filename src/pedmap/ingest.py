@@ -157,16 +157,16 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
 
 
 def _in_record_order(records: Iterable[DetectionRecord]) -> list[DetectionRecord]:
-    """The records ordered by clip, then time, as they are binned. A stable sort by
-    time, then one by clip, gives the order of one sort on ``(clip_id, timestamp_ms)``,
-    ties included, with no key tuple per record."""
+    """The records ordered by clip, then time, as ``build_map`` bins them; a tie keeps
+    its input order. A stable sort by time, then one by clip, gives the order of one
+    sort on ``(clip_id, timestamp_ms)``, ties included, with no key tuple per record."""
     ordered = sorted(records, key=attrgetter("timestamp_ms"))
     ordered.sort(key=attrgetter("clip_id"))
     return ordered
 
 
 def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
-    """Parse training CSV text into records sorted by (clip_id, timestamp).
+    """Parse training CSV text into records, in file order (``build_map`` orders them).
 
     The header must be exactly ``timestamp,latitude,longitude,pedestrian_count,clip_id``.
     Raises ParseError (with line number) on any malformed or out-of-range row.
@@ -177,7 +177,7 @@ def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
         if count < 0:
             raise ParseError(f"negative pedestrian_count {count}", line)
         records.append(DetectionRecord(ts, position, count, row[4]))
-    return _in_record_order(records)
+    return records
 
 
 def _bin_key(r: DetectionRecord) -> tuple[str, int]:
@@ -235,8 +235,8 @@ def aggregate_interval(interval: Interval, count_mode: CountMode = "max") -> Opt
 def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> HotspotMap:
     """Aggregate records into a hotspot map, ordered by clip then interval start.
 
-    One grouped pass over the sorted records: each 1-second bin becomes a node
-    as ``aggregate_interval`` would make it, with no ``Interval`` in between.
+    One grouped pass over the records in ``_in_record_order``: each 1-second bin
+    becomes a node as ``aggregate_interval`` would make it, with no ``Interval`` in between.
     """
     total = _count_rule(count_mode)
     nodes = []

@@ -260,7 +260,7 @@ class TestCheckpoints:
         cps = checkpoints(trace, 2.0)
         north = initial_bearing(GeoPoint(0, 0), GeoPoint(0.0001, 0))
         assert all(cp.heading == north for cp in cps)
-        assert (cps[0].position, cps[0].speed, cps[0].timestamp_ms) == (GeoPoint(0, 0), 0.0, 0)
+        assert (cps[0].position, cps[0].speed) == (GeoPoint(0, 0), 0.0)
         assert all(cp.speed > 0 for cp in cps[1:])
 
     def test_nesting_on_random_traces(self):
@@ -282,7 +282,7 @@ def parked_start_trace() -> DriveTrace:
 def kinematics_by_bisect(trace, arcs, arc_position):
     """Reference for the forward sampler: a bisect and a walk back per checkpoint.
 
-    Returns ``(position, heading, speed_kmh, timestamp_ms)`` at ``arc_position``.
+    Returns ``(position, heading, speed_kmh)`` at ``arc_position``.
     A trace whose segments up to the arc are all stationary has no heading here.
     """
     total = arcs[-1]
@@ -295,7 +295,6 @@ def kinematics_by_bisect(trace, arcs, arc_position):
     seg_len = arcs[seg + 1] - arcs[seg]
     frac = min((arc_position - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0
     position = interpolate_along(a.position, b.position, frac)
-    timestamp = round(a.timestamp_ms + frac * (b.timestamp_ms - a.timestamp_ms))
     j = seg
     while j >= 0 and coincident(trace.fixes[j].position, trace.fixes[j + 1].position):
         j -= 1
@@ -303,7 +302,7 @@ def kinematics_by_bisect(trace, arcs, arc_position):
         raise ValueError("degenerate trace: no segment with a defined heading")
     heading = initial_bearing(trace.fixes[j].position, trace.fixes[j + 1].position)
     speed_kmh = seg_len / ((b.timestamp_ms - a.timestamp_ms) / 1000.0) * KMH_PER_MPS
-    return position, heading, speed_kmh, timestamp
+    return position, heading, speed_kmh
 
 
 # A step of a random drive: stay put, or move up to 30 m north and east.
@@ -422,7 +421,7 @@ class TestEvaluateCheckpoint:
         from pedmap.advisory import Checkpoint
         from pedmap.geodesy import Heading
 
-        return Checkpoint(0.0, position, Heading(heading_deg), speed, 0)
+        return Checkpoint(0.0, position, Heading(heading_deg), speed)
 
     def test_empty_map_inactive(self):
         decision = evaluate_checkpoint(
@@ -546,7 +545,7 @@ class TestEvaluateCheckpointOracle:
         hotspot_map = HotspotMap(nodes)
         hotspot_map.build_spatial_index(leaf_size=leaf_size)
         cfg = AdvisoryConfig(min_count=min_count, heading_threshold=heading_threshold)
-        cp = Checkpoint(0.0, _ORIGIN, Heading(heading), speed, 0)
+        cp = Checkpoint(0.0, _ORIGIN, Heading(heading), speed)
         assert evaluate_checkpoint(cp, hotspot_map, cfg) == decide_by_scan(cp, hotspot_map, cfg)
 
 
@@ -613,7 +612,7 @@ class TestBehindPruneOracle:
     def test_matches_linear_scan(self, site, heading, speed, min_count, heading_threshold, leaf_size, data):
         hotspot_map = HotspotMap(data.draw(_nodes_around(site, heading)))
         hotspot_map.build_spatial_index(leaf_size=leaf_size)
-        cp = Checkpoint(0.0, site, Heading(heading), speed, 0)
+        cp = Checkpoint(0.0, site, Heading(heading), speed)
         for threshold in (heading_threshold, *_EDGE_THRESHOLDS):
             cfg = AdvisoryConfig(min_count=min_count, heading_threshold=threshold)
             assert evaluate_checkpoint(cp, hotspot_map, cfg) == decide_by_scan(cp, hotspot_map, cfg)
@@ -631,7 +630,7 @@ class TestDecisionCost:
         hotspot_map = HotspotMap(nodes)
         hotspot_map.index  # noqa: B018 - builds the tree before counting
         cfg = AdvisoryConfig(heading_threshold=heading_threshold)
-        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0, 0)
+        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0)
 
         calls = 0
         real = haversine_distance
@@ -660,7 +659,7 @@ class TestDecisionCost:
         hotspot_map = HotspotMap(nodes)
         tree = hotspot_map.index
         cfg = AdvisoryConfig()
-        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0, 0)
+        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0)
 
         calls = 0
         real = haversine_distance
@@ -864,7 +863,7 @@ class TestTimelineJsonl:
         assert inactive["nearest_front_m"] is None
 
     def test_non_finite_value_raises(self):
-        cp = Checkpoint(0.0, GeoPoint(0, 0), Heading(0.0), 50.0, 0)
+        cp = Checkpoint(0.0, GeoPoint(0, 0), Heading(0.0), 50.0)
         timeline = AdvisoryTimeline((AdvisoryDecision(cp, False, math.nan),), "c", 2.0)
         # The whole message, with no value appended as Python 3.12's json does.
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant$"):

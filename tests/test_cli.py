@@ -205,6 +205,14 @@ class TestEvalAndSweep:
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 2
 
+    def test_sweep_has_no_sampling_distance_flag(self, runner, scenario_files):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        inputs = [str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json")]
+        result = runner.invoke(main, ["sweep", *inputs, "--sampling-distance", "7"])
+        assert result.exit_code == 2
+        error = result.output.splitlines()[-1]  # click words it "No such option: --x" or "No such option '--x'."
+        assert error.startswith("Error: No such option") and "--sampling-distance" in error
+
     def test_eval_at_configured_k(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         result = runner.invoke(
@@ -297,11 +305,15 @@ class TestEvalAndSweep:
 
 @pytest.mark.parametrize("command", ["replay", "eval", "sweep"])
 def test_help_lists_every_config_field_with_its_default(runner, command):
+    """``sweep`` takes its K values from ``--ks`` alone, so it lists every field but ``sampling_distance``."""
     result = runner.invoke(main, [command, "--help"])
     assert result.exit_code == 0
     text = " ".join(result.output.split())  # undo the help's line wrapping
     for f in fields(AdvisoryConfig):
         flag = "--" + f.name.replace("_", "-")
+        if command == "sweep" and f.name == "sampling_distance":
+            assert flag not in text
+            continue
         assert flag + " " in text
         entry = text.split(flag + " ", 1)[1].split(" --", 1)[0]
         assert f"[default: {f.default}]" in entry
@@ -536,7 +548,9 @@ def cli_runs(draw):
         trace = northbound_trace(GeoPoint(0, 0), 220.0, 50.0, clip_id="drive1")
         files["map.json"] = draw(_maybe_mangled(json.dumps({"schema_version": 1, "nodes": [NODE, {**NODE, "lat": 0.0013}]})))
         files["drive.csv"] = draw(_maybe_mangled(trace_csv_text(trace)))
-        for flag in sorted(draw(st.sets(st.sampled_from(sorted(_FLAG_VALUES))))):
+        # ``sweep`` takes its K values from ``--ks`` alone.
+        names = sorted(f for f in _FLAG_VALUES if command != "sweep" or f != "--sampling-distance")
+        for flag in sorted(draw(st.sets(st.sampled_from(names)))):
             flags += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
         clip = draw(st.sampled_from([None, "drive1", "nope"]))
         flags += [] if clip is None else ["--clip", clip]

@@ -30,7 +30,7 @@ def fake_timeline(active_arcs, sampling_distance=2.0, clip_id="c", end_arc=None)
     decisions = []
     arc = 0.0
     while arc <= end + 1e-9:
-        cp = Checkpoint(arc, GeoPoint(0, 0), Heading(0), 30.0, 0)
+        cp = Checkpoint(arc, GeoPoint(0, 0), Heading(0), 30.0)
         is_active = any(abs(arc - a) < 1e-9 for a in active)
         decisions.append(AdvisoryDecision(cp, is_active, 25.0, 5.0 if is_active else None, 0.0 if is_active else None))
         arc += sampling_distance
@@ -140,7 +140,7 @@ class TestAdvisoryEventsOracle:
     )
     def test_events_match_reference_loops(self, flags, k, cuts):
         decisions = tuple(
-            AdvisoryDecision(Checkpoint(i * k, GeoPoint(0, i * 1e-4), Heading(0), 30.0, i), active, 25.0)
+            AdvisoryDecision(Checkpoint(i * k, GeoPoint(0, i * 1e-4), Heading(0), 30.0), active, 25.0)
             for i, active in enumerate(flags)
         )
         timeline = AdvisoryTimeline(decisions, "c", k)

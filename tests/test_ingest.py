@@ -8,7 +8,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import (
@@ -82,26 +82,33 @@ class TestParseDetectionLog:
             parse_detection_log(io.StringIO(""))
 
     def test_sorted_by_clip_then_time(self):
+        """The parser keeps file order; ``build_map`` orders the nodes by clip, then time."""
         text = HEADER + "3000,0,0,1,b\n1000,0,0,1,b\n2000,0,0,1,a\n"
         records = parse_detection_log(io.StringIO(text))
-        assert [(r.clip_id, r.timestamp_ms) for r in records] == [
+        assert [(r.clip_id, r.timestamp_ms) for r in records] == [("b", 3000), ("b", 1000), ("a", 2000)]
+        assert [(n.clip_id, n.timestamp_ms) for n in build_map(records).nodes] == [
             ("a", 2000),
             ("b", 1000),
             ("b", 3000),
         ]
 
     def test_shuffled_log_with_ties_keeps_file_order_within_a_tie(self):
-        lines = ["3000,0,0,7,b", "1000,0,0,1,a", "2000,0,0,2,c", "1000,0,0,3,b", "1000,0,0,4,a", "500,0,0,5,c", "2000,0,0,6,a"]
+        # Bin ("a", 1000) holds latitude 0.0 at 1500 ms, then the tie 0.0, -0.0 at
+        # 1000 ms. Its median is -0.0 only when the bin takes its fixes by time,
+        # with the tie in file order.
+        lines = ["1500,0,0,8,a", "3000,0,0,7,b", "1000,0,0,1,a", "2000,0,0,2,c", "1000,0,0,3,b", "1000,-0.0,0,4,a", "500,0,0,5,c", "2000,0,0,6,a"]
         records = parse_detection_log(io.StringIO(HEADER + "\n".join(lines) + "\n"))
-        assert [(r.clip_id, r.timestamp_ms, r.pedestrian_count) for r in records] == [
-            ("a", 1000, 1),
-            ("a", 1000, 4),
+        assert [r.pedestrian_count for r in records] == [8, 7, 1, 2, 3, 4, 5, 6]
+        nodes = build_map(records).nodes
+        assert [(n.clip_id, n.timestamp_ms, n.count) for n in nodes] == [
+            ("a", 1000, 8),
             ("a", 2000, 6),
             ("b", 1000, 3),
             ("b", 3000, 7),
-            ("c", 500, 5),
+            ("c", 0, 5),
             ("c", 2000, 2),
         ]
+        assert math.copysign(1.0, nodes[0].position.lat) == -1.0
 
 
 class TestRecordOrder:
@@ -267,6 +274,9 @@ class TestBuildMap:
         ),
         st.sampled_from(["max", "sum"]),
     )
+    # -0.0 == 0.0, so the median keeps their order: binned in input order rather
+    # than by time, this bin's latitude is -0.0 where the interval path gives 0.0.
+    @example([(500, 0.0, 0.0, 1, "a"), (100, -0.0, 0.0, 1, "a"), (300, 0.0, 0.0, 1, "a")], "max")
     def test_grouped_pass_matches_interval_path(self, rows, mode):
         # Unsorted input over several clips; timestamps straddle second
         # boundaries on both sides of 0 (-1 ms is in second -1); zero counts
