@@ -1,12 +1,13 @@
-"""Drive-log ingestion: CSV parsing, 1-second interval aggregation, and map assembly.
+"""Drive-log ingestion: CSV parsing, 1-second binning and aggregation, and map assembly.
 
 A training drive log is a CSV of per-frame pedestrian detections tagged with the
 ego vehicle's GPS fix, read by ``_read_rows``, the one CSV reader (test-drive
-CSVs included). Records are grouped per clip into fixed wall-clock 1-second
-bins, in one grouped pass over the sorted records; each bin with at least one
-detected pedestrian becomes a hotspot node at the median vehicle position. Maps
-from separate drives or vehicles are merged by plain node-list concatenation:
-repeated sightings of the same spot are the signal, so nothing is deduplicated.
+CSVs included). ``split_intervals`` sorts the records by clip and time and
+groups them per clip into fixed wall-clock 1-second bins; ``build_map`` turns
+each bin with at least one detected pedestrian into a hotspot node at the
+median vehicle position. Maps from separate drives or vehicles are merged by
+plain node-list concatenation: repeated sightings of the same spot are the
+signal, so nothing is deduplicated.
 A map file holds the bytes of ``json.dump(map_to_dict(m), indent=2)``, written
 node by node.
 """
@@ -20,7 +21,7 @@ from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import attrgetter
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Literal, Optional
 
 from .geodesy import GeoPoint
 from .spatial_index import DEFAULT_LEAF_SIZE, BallTree
@@ -60,16 +61,6 @@ class DetectionRecord:
 
 
 _set_record_ts, _set_record_position, _set_record_count, _set_record_clip = (getattr(DetectionRecord, f.name).__set__ for f in fields(DetectionRecord))
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """All fixes of one clip falling inside a single 1-second wall-clock bin."""
-
-    clip_id: str
-    start_ms: int  # the bin is [start_ms, start_ms + 1000)
-    fixes: tuple[GeoPoint, ...]
-    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +148,7 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
 
 
 def _in_record_order(records: Iterable[DetectionRecord]) -> list[DetectionRecord]:
-    """The records ordered by clip, then time, as ``build_map`` bins them; a tie keeps
+    """The records ordered by clip, then time, as ``split_intervals`` bins them; a tie keeps
     its input order. A stable sort by time, then one by clip, gives the order of one
     sort on ``(clip_id, timestamp_ms)``, ties included, with no key tuple per record."""
     ordered = sorted(records, key=attrgetter("timestamp_ms"))
@@ -185,24 +176,14 @@ def _bin_key(r: DetectionRecord) -> tuple[str, int]:
     return r.clip_id, r.timestamp_ms // 1000
 
 
-def split_intervals(records: list[DetectionRecord]) -> list[Interval]:
-    """Split records into per-clip 1-second intervals aligned to wall-clock seconds.
+def split_intervals(records: list[DetectionRecord]) -> list[list[DetectionRecord]]:
+    """Split records into per-clip 1-second bins aligned to wall-clock seconds.
 
-    Expects records sorted by (clip_id, timestamp); every record lands in exactly
-    one interval, and intervals never span clips.
+    Each element is one bin's records in ``_in_record_order``, and the bins come in
+    clip-then-time order, whatever order the records arrive in. Every record lands
+    in exactly one bin, and a bin never spans two clips or two seconds.
     """
-    intervals = []
-    for (clip, sec), group in groupby(records, _bin_key):
-        fixes, counts = zip(*((r.position, r.pedestrian_count) for r in group))
-        intervals.append(Interval(clip, sec * 1000, fixes, counts))
-    return intervals
-
-
-def _count_rule(count_mode: CountMode):
-    """How a bin's per-fix counts combine: ``max`` or ``sum``."""
-    if count_mode not in ("max", "sum"):
-        raise ValueError(f"count_mode must be 'max' or 'sum', got {count_mode!r}")
-    return max if count_mode == "max" else sum
+    return [list(group) for _, group in groupby(_in_record_order(records), _bin_key)]
 
 
 def _median(values: list[float]) -> float:
@@ -212,39 +193,25 @@ def _median(values: list[float]) -> float:
     return values[mid] if odd else (values[mid - 1] + values[mid]) / 2
 
 
-def _hotspot(fixes: Sequence[GeoPoint], counts: Sequence[int], start_ms: int, clip_id: str, total) -> Optional[HotspotNode]:
-    """One bin's node: ``total`` (max or sum) of its counts at the median of its fixes, or None at 0."""
-    count = total(counts)
-    if count == 0:
-        return None
-    position = GeoPoint(_median([p.lat for p in fixes]), _median([p.lon for p in fixes]))
-    return HotspotNode(position, count, start_ms, clip_id)
-
-
-def aggregate_interval(interval: Interval, count_mode: CountMode = "max") -> Optional[HotspotNode]:
-    """Collapse an interval to a hotspot node, or None when no pedestrian was seen.
-
-    The position is the component-wise median of the interval's fixes (an even
-    number of fixes averages the two middle values per component). The count is
-    the max of the per-fix counts by default; ``sum`` adds them instead, which
-    over-counts pedestrians that stay in view across frames.
-    """
-    return _hotspot(interval.fixes, interval.counts, interval.start_ms, interval.clip_id, _count_rule(count_mode))
-
-
 def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> HotspotMap:
-    """Aggregate records into a hotspot map, ordered by clip then interval start.
+    """Aggregate records into a hotspot map, one node per ``split_intervals`` bin
+    in which a pedestrian was seen, ordered by clip then bin start.
 
-    One grouped pass over the records in ``_in_record_order``: each 1-second bin
-    becomes a node as ``aggregate_interval`` would make it, with no ``Interval`` in between.
+    A node sits at the component-wise median of its bin's fixes (an even number of
+    fixes averages the two middle values per component), zero-count fixes included.
+    Its count is the max of the per-fix counts by default; ``sum`` adds them instead,
+    which over-counts pedestrians that stay in view across frames.
     """
-    total = _count_rule(count_mode)
+    if count_mode not in ("max", "sum"):
+        raise ValueError(f"count_mode must be 'max' or 'sum', got {count_mode!r}")
+    total = max if count_mode == "max" else sum
     nodes = []
-    for (clip, sec), group in groupby(_in_record_order(records), _bin_key):
-        group = list(group)
-        node = _hotspot([r.position for r in group], [r.pedestrian_count for r in group], sec * 1000, clip, total)
-        if node is not None:
-            nodes.append(node)
+    for group in split_intervals(records):
+        count = total([r.pedestrian_count for r in group])
+        if count:
+            first = group[0]
+            position = GeoPoint(_median([r.position.lat for r in group]), _median([r.position.lon for r in group]))
+            nodes.append(HotspotNode(position, count, first.timestamp_ms // 1000 * 1000, first.clip_id))
     return HotspotMap(nodes)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pedmap import ingest
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import (
     DetectionRecord,
@@ -17,7 +18,6 @@ from pedmap.ingest import (
     HotspotNode,
     ParseError,
     _in_record_order,
-    aggregate_interval,
     build_map,
     map_from_dict,
     map_from_geojson,
@@ -36,10 +36,26 @@ def rec(ts, lat, lon, count, clip="clipA"):
     return DetectionRecord(ts, GeoPoint(lat, lon), count, clip)
 
 
-def interval_of(fixes, counts, clip="clipA", sec=0):
-    from pedmap.ingest import Interval
+def one_bin(coords, counts, ts=1000, clip="clipA"):
+    """Records of one 1-second bin: one fix per ``(lat, lon)`` with its count, a millisecond apart."""
+    return [rec(ts + i, lat, lon, n, clip) for i, ((lat, lon), n) in enumerate(zip(coords, counts))]
 
-    return Interval(clip, sec * 1000, tuple(fixes), tuple(counts))
+
+def reference_nodes(records, mode):
+    """``build_map``'s nodes, worked out without its helpers: one stable sort on the
+    ``(clip_id, timestamp_ms)`` key tuple, bins keyed ``(clip_id, second)`` in a dict,
+    ``statistics.median`` per component, ``max`` or ``sum``, and zero-count bins dropped."""
+    bins = {}
+    for r in sorted(records, key=lambda r: (r.clip_id, r.timestamp_ms)):
+        bins.setdefault((r.clip_id, r.timestamp_ms // 1000), []).append(r)
+    total = max if mode == "max" else sum
+    nodes = []
+    for (clip, sec), group in bins.items():
+        count = total(r.pedestrian_count for r in group)
+        if count:
+            position = GeoPoint(statistics.median(r.position.lat for r in group), statistics.median(r.position.lon for r in group))
+            nodes.append(HotspotNode(position, count, sec * 1000, clip))
+    return nodes
 
 
 class TestParseDetectionLog:
@@ -128,73 +144,71 @@ class TestRecordOrder:
 class TestSplitIntervals:
     def test_three_fixes_one_second(self):
         records = [rec(1000, 0, 0, 1), rec(1400, 0, 0.001, 1), rec(1900, 0, 0.002, 0)]
-        intervals = split_intervals(records)
-        assert len(intervals) == 1
-        assert len(intervals[0].fixes) == 3
-        assert intervals[0].start_ms == 1000
+        assert split_intervals(records) == [records]
 
     def test_boundary_lands_in_next_window(self):
-        intervals = split_intervals([rec(1000, 0, 0, 1), rec(2000, 0, 0, 1)])
-        assert [len(iv.fixes) for iv in intervals] == [1, 1]
-        assert [iv.start_ms for iv in intervals] == [1000, 2000]
+        bins = split_intervals([rec(1000, 0, 0, 1), rec(2000, 0, 0, 1)])
+        assert [[r.timestamp_ms for r in b] for b in bins] == [[1000], [2000]]
 
     def test_empty(self):
         assert split_intervals([]) == []
 
     def test_never_spans_clips(self):
-        records = sorted(
-            [rec(1000, 0, 0, 1, "a"), rec(1100, 0, 0, 1, "b"), rec(1200, 0, 0, 1, "a")],
-            key=lambda r: (r.clip_id, r.timestamp_ms),
-        )
-        intervals = split_intervals(records)
-        assert [(iv.clip_id, len(iv.fixes)) for iv in intervals] == [("a", 2), ("b", 1)]
+        bins = split_intervals([rec(1000, 0, 0, 1, "a"), rec(1100, 0, 0, 1, "b"), rec(1200, 0, 0, 1, "a")])
+        assert [(b[0].clip_id, len(b)) for b in bins] == [("a", 2), ("b", 1)]
+
+    def test_orders_an_unordered_log(self):
+        # A row out of time order joins its second's bin instead of starting a new one.
+        records = parse_detection_log(io.StringIO(HEADER + "1000,0,0,1,a\n5000,0,0,1,a\n1500,0,0,1,a\n"))
+        assert [[r.timestamp_ms for r in b] for b in split_intervals(records)] == [[1000, 1500], [5000]]
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 20_000), st.integers(0, 3), st.sampled_from(["a", "b"])),
+            st.tuples(st.integers(-3_000, 20_000), st.integers(0, 3), st.sampled_from(["a", "b"])),
             max_size=60,
         )
     )
     def test_every_record_in_exactly_one_interval(self, rows):
-        records = sorted(
-            (rec(ts, 0, 0, n, clip) for ts, n, clip in rows),
-            key=lambda r: (r.clip_id, r.timestamp_ms),
-        )
-        intervals = split_intervals(records)
-        assert sum(len(iv.fixes) for iv in intervals) == len(records)
-        for iv in intervals:
-            assert iv.fixes  # non-empty
-            assert len(iv.fixes) == len(iv.counts)
+        records = [rec(ts, 0, 0, n, clip) for ts, n, clip in rows]  # in no particular order
+        bins = split_intervals(records)
+        assert sorted(id(r) for b in bins for r in b) == sorted(map(id, records))
+        keys = []
+        for b in bins:
+            assert len({(r.clip_id, r.timestamp_ms // 1000) for r in b}) == 1
+            keys.append((b[0].clip_id, b[0].timestamp_ms // 1000))
+        assert keys == sorted(set(keys))
 
 
 class TestAggregateInterval:
+    """The node ``build_map`` makes from one 1-second bin of records."""
+
     def test_odd_median(self):
-        node = aggregate_interval(
-            interval_of([GeoPoint(0, 0), GeoPoint(0, 2), GeoPoint(0, 10)], [1, 1, 1])
-        )
+        (node,) = build_map(one_bin([(0, 10), (0, 0), (0, 2)], [1, 1, 1])).nodes
         assert node.position == GeoPoint(0, 2)
         assert node.count == 1
 
     def test_even_median_and_max_count(self):
-        node = aggregate_interval(interval_of([GeoPoint(0, 0), GeoPoint(0, 2)], [3, 1]), "max")
+        (node,) = build_map(one_bin([(0, 0), (0, 2)], [3, 1]), "max").nodes
         assert node.position == GeoPoint(0, 1)
         assert node.count == 3
 
     def test_sum_mode(self):
-        node = aggregate_interval(interval_of([GeoPoint(0, 0), GeoPoint(0, 2)], [3, 1]), "sum")
+        (node,) = build_map(one_bin([(0, 0), (0, 2)], [3, 1]), "sum").nodes
         assert node.count == 4
 
     def test_zero_counts_give_no_node(self):
-        assert aggregate_interval(interval_of([GeoPoint(0, 0)], [0])) is None
+        assert build_map(one_bin([(0, 0), (0, 1)], [0, 0])).nodes == []
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            aggregate_interval(interval_of([GeoPoint(0, 0)], [1]), "avg")
+        with pytest.raises(ValueError, match="count_mode"):
+            build_map(one_bin([(0, 0)], [1]), "avg")
 
     def test_node_timestamp_is_interval_start(self):
-        node = aggregate_interval(interval_of([GeoPoint(1, 1)], [2], sec=7))
+        (node,) = build_map(one_bin([(1, 1)], [2], ts=7450)).nodes
         assert node.timestamp_ms == 7000
         assert node.clip_id == "clipA"
+        (node,) = build_map(one_bin([(1, 1)], [2], ts=-1)).nodes  # -1 ms is in second -1
+        assert node.timestamp_ms == -1000
 
     @given(
         st.lists(
@@ -206,8 +220,9 @@ class TestAggregateInterval:
         )
     )
     def test_median_within_component_bounds(self, coords):
-        fixes = [GeoPoint(lat, lon) for lat, lon in coords]
-        node = aggregate_interval(interval_of(fixes, [1] * len(fixes)))
+        records = one_bin(coords, [1] * len(coords))
+        (node,) = build_map(records).nodes
+        fixes = [r.position for r in records]  # GeoPoint-normalized, as the median sees them
         assert min(p.lat for p in fixes) <= node.position.lat <= max(p.lat for p in fixes)
         assert min(p.lon for p in fixes) <= node.position.lon <= max(p.lon for p in fixes)
 
@@ -275,22 +290,29 @@ class TestBuildMap:
         st.sampled_from(["max", "sum"]),
     )
     # -0.0 == 0.0, so the median keeps their order: binned in input order rather
-    # than by time, this bin's latitude is -0.0 where the interval path gives 0.0.
+    # than by time, this bin's latitude is -0.0 where the reference gives 0.0.
     @example([(500, 0.0, 0.0, 1, "a"), (100, -0.0, 0.0, 1, "a"), (300, 0.0, 0.0, 1, "a")], "max")
-    def test_grouped_pass_matches_interval_path(self, rows, mode):
+    def test_matches_reference_binning(self, rows, mode):
         # Unsorted input over several clips; timestamps straddle second
         # boundaries on both sides of 0 (-1 ms is in second -1); zero counts
         # sit inside counted bins; longitude 180 normalizes to -180.
         records = [rec(ts, lat, lon, n, clip) for ts, lat, lon, n, clip in rows]
-        intervals = split_intervals(sorted(records, key=lambda r: (r.clip_id, r.timestamp_ms)))
-        expected = [node for node in (aggregate_interval(iv, mode) for iv in intervals) if node is not None]
         nodes = build_map(records, mode).nodes
-        assert list(map(repr, nodes)) == list(map(repr, expected))
-        by_bin = {(iv.clip_id, iv.start_ms): iv.fixes for iv in intervals}
-        for node in nodes:
-            fixes = by_bin[node.clip_id, node.timestamp_ms]
-            median = GeoPoint(statistics.median(p.lat for p in fixes), statistics.median(p.lon for p in fixes))
-            assert repr(node.position) == repr(median)
+        assert list(map(repr, nodes)) == list(map(repr, reference_nodes(records, mode)))
+
+    def test_bins_come_from_one_split_intervals_call(self, monkeypatch):
+        calls = []
+
+        def counted(records):
+            bins = split_intervals(records)
+            calls.append(len(bins))
+            return bins
+
+        monkeypatch.setattr(ingest, "split_intervals", counted)
+        records = [rec(2500, 0, 0, 0), rec(1000, 0, 0, 1), rec(1200, 0, 0, 2, "b"), rec(3000, 0, 0, 1)]
+        nodes = build_map(records).nodes
+        assert calls == [4]  # one call; four bins, one of them without a pedestrian
+        assert len(nodes) == 3
 
 
 class TestMergeMaps:
