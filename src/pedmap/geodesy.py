@@ -20,8 +20,8 @@ COINCIDENT_DEG = 1e-12
 class GeoPoint:
     """A WGS84 latitude/longitude pair.
 
-    Latitude must lie in [-90, 90]; longitude must be finite and is normalized
-    into [-180, 180) at construction.
+    Latitude must lie in [-90, 90] and longitude in [-180, 180]. Both are stored
+    as given, except that longitude 180 is stored as -180 (one meridian) and -0.0 as 0.0.
     """
 
     lat: float
@@ -31,11 +31,10 @@ class GeoPoint:
     def __init__(self, lat: float, lon: float) -> None:
         if not -90.0 <= lat <= 90.0:
             raise ValueError(f"latitude {lat} outside [-90, 90]")
-        normalized = ((lon + 180.0) % 360.0) - 180.0
-        if normalized != normalized:  # NaN, which is also what the normalization makes of +-inf
-            raise ValueError(f"longitude {lon} is not finite")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"longitude {lon} outside [-180, 180]")
         _set_lat(self, lat)
-        _set_lon(self, normalized)
+        _set_lon(self, lon + 0.0 if lon < 180.0 else -180.0)  # + 0.0 makes an int a float and -0.0 0.0; other floats keep their bits
 
 
 _set_lat, _set_lon = GeoPoint.lat.__set__, GeoPoint.lon.__set__

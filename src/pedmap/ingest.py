@@ -138,11 +138,11 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
                 lat, lon = float(row[1]), float(row[2])
             except ValueError:
                 raise ParseError(f"non-numeric coordinate {row[1]!r},{row[2]!r}", line) from None
-            if not -90.0 <= lat <= 90.0:
-                raise ParseError(f"latitude {lat} outside [-90, 90]", line)
-            if not -180.0 <= lon <= 180.0:
-                raise ParseError(f"longitude {lon} outside [-180, 180]", line)
-            yield line, ts, GeoPoint(lat, lon), row
+            try:
+                position = GeoPoint(lat, lon)
+            except ValueError as exc:
+                raise ParseError(str(exc), line) from None
+            yield line, ts, position, row
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from None
 
@@ -187,8 +187,7 @@ def split_intervals(records: list[DetectionRecord]) -> list[list[DetectionRecord
 
 
 def _median(values: list[float]) -> float:
-    """``statistics.median``'s arithmetic: the middle value, or the mean of the two middle ones."""
-    values.sort()
+    """``statistics.median``'s arithmetic on sorted values: the middle one, or the mean of the two middle ones."""
     mid, odd = divmod(len(values), 2)
     return values[mid] if odd else (values[mid - 1] + values[mid]) / 2
 
@@ -200,7 +199,8 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
     A node sits at the component-wise median of its bin's fixes (an even number of
     fixes averages the two middle values per component), zero-count fixes included.
     Its count is the max of the per-fix counts by default; ``sum`` adds them instead,
-    which over-counts pedestrians that stay in view across frames.
+    which over-counts pedestrians that stay in view across frames. A counted bin
+    whose longitudes span 180 degrees or more straddles ±180° and raises ValueError.
     """
     if count_mode not in ("max", "sum"):
         raise ValueError(f"count_mode must be 'max' or 'sum', got {count_mode!r}")
@@ -209,9 +209,12 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
     for group in split_intervals(records):
         count = total([r.pedestrian_count for r in group])
         if count:
-            first = group[0]
-            position = GeoPoint(_median([r.position.lat for r in group]), _median([r.position.lon for r in group]))
-            nodes.append(HotspotNode(position, count, first.timestamp_ms // 1000 * 1000, first.clip_id))
+            first, lons = group[0], sorted([r.position.lon for r in group])
+            start_ms = first.timestamp_ms // 1000 * 1000
+            if lons[-1] - lons[0] >= 180.0:  # its median would land on the far side of the globe
+                raise ValueError(f"longitudes >= 180 degrees apart in clip {first.clip_id!r} at {start_ms} ms")
+            position = GeoPoint(_median(sorted([r.position.lat for r in group])), _median(lons))
+            nodes.append(HotspotNode(position, count, start_ms, first.clip_id))
     return HotspotMap(nodes)
 
 
@@ -249,11 +252,10 @@ def _node(kind: str, i: int, fields: object) -> HotspotNode:
         count, timestamp_ms, clip_id = fields.get("count"), fields.get("timestamp_ms"), fields.get("clip_id")
         if not (type(lat) in (int, float) and type(lon) in (int, float) and isfinite(lat) and isfinite(lon)):
             raise ValueError(f"lat and lon must be finite numbers, got {lat!r}, {lon!r}")
-        if not -180.0 <= lon <= 180.0:
-            raise ValueError(f"longitude {lon} outside [-180, 180]")
+        position = GeoPoint(lat, lon)
         if not (type(count) is int and type(timestamp_ms) is int and isinstance(clip_id, str)):
             raise ValueError(f"count and timestamp_ms must be integers and clip_id a string, got {count!r}, {timestamp_ms!r}, {clip_id!r}")
-        return HotspotNode(GeoPoint(lat, lon), count, timestamp_ms, clip_id)
+        return HotspotNode(position, count, timestamp_ms, clip_id)
     except (ValueError, OverflowError) as exc:  # isfinite overflows on integers beyond float range
         raise ValueError(f"{kind} {i}: {exc}") from None
 

@@ -19,11 +19,16 @@ from pedmap.ingest import HotspotMap, HotspotNode
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 
+def wrap_lon(lon: float) -> float:
+    """A longitude wrapped into [-180, 180], for helpers whose arithmetic crosses ±180°."""
+    return ((lon + 180.0) % 360.0) - 180.0
+
+
 def offset(point: GeoPoint, north_m: float = 0.0, east_m: float = 0.0) -> GeoPoint:
     """Shift a point by meters north/east (small-offset approximation)."""
     lat = point.lat + north_m / M_PER_DEG_LAT
     lon = point.lon + east_m / (M_PER_DEG_LAT * math.cos(math.radians(point.lat)))
-    return GeoPoint(lat, lon)
+    return GeoPoint(lat, wrap_lon(lon))
 
 
 def destination(point: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
@@ -34,7 +39,7 @@ def destination(point: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPo
     lon = lam + math.atan2(
         math.sin(theta) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(lat)
     )
-    return GeoPoint(math.degrees(lat), math.degrees(lon))
+    return GeoPoint(math.degrees(lat), wrap_lon(math.degrees(lon)))
 
 
 def northbound_trace(

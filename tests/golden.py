@@ -10,7 +10,8 @@ The scenario is a 1 Hz test drive with a parked start, a stop and a turn, past
 a map whose nodes give correct advisories, a false advisory (a node with no
 window), a missed window (a window with no node) and, at ``--min-count 9``,
 no advisory at all (an undefined precision). Two training CSVs feed ``build``,
-with a clip id that needs CSV quoting and JSON escaping.
+with a clip id that needs CSV quoting and JSON escaping; two small ones pin the
+longitudes a map stores and the refusal of a bin that straddles ±180°.
 
 Only running this file rewrites the corpus; no test runs it::
 
@@ -76,6 +77,8 @@ CASES = (
     Case("error_training_csv", ("build", "bad_train.csv", "-o", "never.json"), exit_code=1),
     Case("error_trace", ("replay", "map.json", "bad_trace.csv"), exit_code=1),
     Case("error_map", ("replay", "bad_map.json", "drive.csv"), exit_code=1),
+    Case("build_exact_lon", ("build", "exact_lon.csv", "-o", "exact_lon.json"), ("exact_lon.json",)),
+    Case("error_antimeridian_bin", ("build", "antimeridian.csv", "-o", "never.json"), exit_code=1),
 )
 
 
@@ -235,6 +238,13 @@ def write_inputs(directory: str) -> None:
     bad_rows = [list(r) for r in rows_b[:8]]
     bad_rows[4][3] = -2
     write("bad_train.csv", _csv_text(header, bad_rows))
+
+    # Longitudes a map stores as written (a wrap through ``% 360`` rounds the first
+    # two), -0.0 stored as 0.0, and 180 as -180; one node each.
+    exact = [[1000, "1.5", "0.1", 1, "exact"], [2000, "1.5", "12.3456789012345", 2, "exact"], [3000, "1.5", "-0.0", 1, "exact"], [4000, "1.5", "180", 3, "exact"]]
+    write("exact_lon.csv", _csv_text(header, exact))
+    # One second whose fixes straddle +-180: refused, as its median would sit at longitude 0.
+    write("antimeridian.csv", _csv_text(header, [[1000, "10.0", "179.99999", 1, "c"], [1500, "10.0", "-179.99999", 1, "c"]]))
 
 
 def regenerate() -> None:

@@ -7,7 +7,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import destination, map_of, make_node, northbound_trace, offset, random_scenario
+from conftest import destination, map_of, make_node, northbound_trace, offset, random_scenario, wrap_lon
 from pedmap import advisory, evaluation, spatial_index
 from pedmap.advisory import (
     ARC_TOLERANCE_M,
@@ -588,7 +588,7 @@ def _nodes_around(draw, site, heading):
         elif kind == "behind":
             position = destination(site, heading + 180.0, d)
         elif kind == "parallel":
-            position = GeoPoint(site.lat, site.lon + step)
+            position = GeoPoint(site.lat, wrap_lon(site.lon + step))
         elif kind == "meridian":
             position = GeoPoint(max(-90.0, min(90.0, site.lat + step)), site.lon)
         else:

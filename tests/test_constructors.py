@@ -3,8 +3,10 @@ and ``HotspotNode``.
 
 Each class's ``__init__`` checks its arguments and then stores each field once
 through its slot. It must raise what the dataclass-generated ``__init__`` plus
-the ``__post_init__`` below raised, and store the same values bit for bit. The
-``Old*`` classes are copies of those definitions, kept here as the oracle.
+the ``__post_init__`` below raises, and store the same values bit for bit. The
+``Old*`` classes are those definitions, kept here as the oracle; ``OldGeoPoint``
+states the coordinate rule: both ranges checked, and longitude stored as given
+but for 180 (stored as -180) and -0.0 (stored as 0.0).
 """
 
 import copy
@@ -17,6 +19,7 @@ from dataclasses import FrozenInstanceError, dataclass
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import wrap_lon
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import DetectionRecord, HotspotNode
 
@@ -29,10 +32,9 @@ class OldGeoPoint:
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        lon = ((self.lon + 180.0) % 360.0) - 180.0
-        if lon != lon:  # NaN, which is also what the normalization makes of +-inf
-            raise ValueError(f"longitude {self.lon} is not finite")
-        object.__setattr__(self, "lon", lon)
+        if not -180.0 <= self.lon <= 180.0:
+            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
+        object.__setattr__(self, "lon", -180.0 if self.lon == 180 else float(self.lon) + 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +84,8 @@ def outcome(cls, *args, **kwargs) -> tuple:
 
 
 _EDGES = [0.0, -0.0, 0, 5e-324, 90.0, -90.0, 90, 180.0, -180.0, 180, -180, 360.0, 540, 1.7976931348623157e308]
+# Longitudes the old wrap ``((lon + 180) % 360) - 180`` rounded, and the two neighbours of +-180 inside and out.
+_EDGES += [0.1, 12.3456789012345, 4.8e-228, 179.99999999999997, -180.00000000000003]
 _EDGES += [math.nan, -math.nan, math.inf, -math.inf]
 # Any float (NaN, +-inf and -0.0 included) or int, with the edges drawn often.
 numbers = st.one_of(st.sampled_from(_EDGES), st.floats(), st.integers())
@@ -96,7 +100,7 @@ CASES = [
         st.tuples(numbers, numbers),
         st.tuples(
             st.one_of(st.floats(-90, 90), st.integers(-90, 90)),
-            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6)),
+            st.one_of(st.floats(-180, 180), st.integers(-180, 180)),
         ),
     ),
     (
@@ -161,11 +165,19 @@ class TestGeoPointEdges:
 
     @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
     def test_replace_rejects_non_finite_lon(self, lon):
-        with pytest.raises(ValueError, match=f"^longitude {lon} is not finite$"):
+        with pytest.raises(ValueError, match=rf"^longitude {lon} outside \[-180, 180\]$"):
             dataclasses.replace(GeoPoint(0.0, 0.0), lon=lon)
 
+    @given(st.one_of(st.sampled_from(_EDGES), st.floats(-180, 180), st.integers(-180, 180)).filter(lambda lon: -180 <= lon <= 180))
+    def test_only_longitudes_the_old_wrap_rounded_change(self, lon):
+        # Wherever the wrap kept the value (as ``lon + 0.0``: an int as a float, -0.0
+        # as 0.0), the stored longitude has the wrap's bits.
+        old, new = wrap_lon(lon), GeoPoint(0.0, lon).lon
+        if struct.pack("<d", old) == struct.pack("<d", lon + 0.0):
+            assert struct.pack("<d", new) == struct.pack("<d", old)
+
     def test_keyword_construction(self):
-        assert GeoPoint(lon=359.0, lat=-0.0) == GeoPoint(-0.0, -1.0)
+        assert GeoPoint(lon=-1.0, lat=-0.0) == GeoPoint(-0.0, -1.0)
         with pytest.raises(TypeError):
             GeoPoint(1.0)
         with pytest.raises(TypeError):

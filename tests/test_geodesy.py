@@ -35,20 +35,34 @@ class TestGeoPoint:
             GeoPoint(-91.0, 0.0)
 
     def test_lon_normalized(self):
+        # Only 180 (the same meridian as -180) and -0.0 are stored other than as given.
         assert GeoPoint(0.0, 180.0).lon == -180.0
+        assert GeoPoint(0.0, 180).lon == -180.0
         assert GeoPoint(0.0, -180.0).lon == -180.0
-        assert GeoPoint(0.0, 359.0).lon == -1.0
-        assert GeoPoint(0.0, 10.0).lon == 10.0
+        assert math.copysign(1.0, GeoPoint(0.0, -0.0).lon) == 1.0
+        assert GeoPoint(0.0, 10).lon == 10.0 and type(GeoPoint(0.0, 10).lon) is float
+        for lon in (0.1, 12.3456789012345, 4.8e-228, 179.99999999999997, -179.99999999999997):
+            assert GeoPoint(0.0, lon).lon == lon
 
     @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
     def test_non_finite_lon_rejected(self, lon):
-        with pytest.raises(ValueError, match=f"longitude {lon} is not finite"):
+        with pytest.raises(ValueError, match=rf"^longitude {lon} outside \[-180, 180\]$"):
+            GeoPoint(0.0, lon)
+
+    @pytest.mark.parametrize("lon", [359.0, -200, 540, 180.00000000000003, -180.00000000000003])
+    def test_lon_out_of_range_rejected(self, lon):
+        with pytest.raises(ValueError, match=rf"^longitude {lon} outside \[-180, 180\]$"):
             GeoPoint(0.0, lon)
 
     @given(lats, st.floats(min_value=-1000, max_value=1000, allow_nan=False))
     def test_lon_always_in_range(self, lat, lon):
-        p = GeoPoint(lat, lon)
-        assert -180.0 <= p.lon < 180.0
+        if -180.0 <= lon <= 180.0:
+            p = GeoPoint(lat, lon)
+            assert -180.0 <= p.lon < 180.0
+            assert p.lon == (lon if lon < 180.0 else -180.0)
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                GeoPoint(lat, lon)
 
 
 class TestHaversine:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import statistics
+import struct
 import tempfile
 from operator import attrgetter
 from pathlib import Path
@@ -13,11 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from pedmap import ingest
 from pedmap.geodesy import GeoPoint
 from pedmap.ingest import (
+    TRAINING_HEADER,
     DetectionRecord,
     HotspotMap,
     HotspotNode,
     ParseError,
     _in_record_order,
+    _read_rows,
     build_map,
     map_from_dict,
     map_from_geojson,
@@ -44,7 +47,8 @@ def one_bin(coords, counts, ts=1000, clip="clipA"):
 def reference_nodes(records, mode):
     """``build_map``'s nodes, worked out without its helpers: one stable sort on the
     ``(clip_id, timestamp_ms)`` key tuple, bins keyed ``(clip_id, second)`` in a dict,
-    ``statistics.median`` per component, ``max`` or ``sum``, and zero-count bins dropped."""
+    ``statistics.median`` per component, ``max`` or ``sum``, and zero-count bins dropped.
+    The first counted bin whose longitudes lie 180 degrees or more apart raises ValueError."""
     bins = {}
     for r in sorted(records, key=lambda r: (r.clip_id, r.timestamp_ms)):
         bins.setdefault((r.clip_id, r.timestamp_ms // 1000), []).append(r)
@@ -53,9 +57,20 @@ def reference_nodes(records, mode):
     for (clip, sec), group in bins.items():
         count = total(r.pedestrian_count for r in group)
         if count:
-            position = GeoPoint(statistics.median(r.position.lat for r in group), statistics.median(r.position.lon for r in group))
+            lons = [r.position.lon for r in group]
+            if max(lons) - min(lons) >= 180.0:
+                raise ValueError(f"longitudes >= 180 degrees apart in clip {clip!r} at {sec * 1000} ms")
+            position = GeoPoint(statistics.median(r.position.lat for r in group), statistics.median(lons))
             nodes.append(HotspotNode(position, count, sec * 1000, clip))
     return nodes
+
+
+def node_reprs(make_nodes):
+    """The ``repr`` of each node ``make_nodes()`` returns, or the message of the ValueError it raises."""
+    try:
+        return list(map(repr, make_nodes()))
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestParseDetectionLog:
@@ -125,6 +140,53 @@ class TestParseDetectionLog:
             ("c", 2000, 2),
         ]
         assert math.copysign(1.0, nodes[0].position.lat) == -1.0
+
+
+def struct_bits(x):
+    """A float's IEEE bytes, so 0.0 and -0.0 differ."""
+    return struct.pack("<d", x)
+
+
+def old_reader_position(lat_text, lon_text, line):
+    """The reader's coordinate checks before ``GeoPoint`` owned them, and the
+    longitude that point stores: as given, but 180 as -180 and -0.0 as 0.0."""
+    lat, lon = float(lat_text), float(lon_text)
+    if not -90.0 <= lat <= 90.0:
+        raise ParseError(f"latitude {lat} outside [-90, 90]", line)
+    if not -180.0 <= lon <= 180.0:
+        raise ParseError(f"longitude {lon} outside [-180, 180]", line)
+    return lat, -180.0 if lon == 180.0 else lon + 0.0
+
+
+# Coordinate texts as a CSV may hold them: in range, out of range, +-180,
+# -0.0, and what ``float`` reads as NaN or inf.
+_COORD_TEXTS = st.one_of(
+    st.floats(-180, 180).map(repr),
+    st.floats().map(repr),
+    st.integers(-400, 400).map(str),
+    st.sampled_from(["180", "-180", "180.0", "-180.0", "90", "-90.0", "-0.0", "0.1", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "179.99999999999997"]),
+)
+
+
+class TestReaderCoordinates:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 2), _COORD_TEXTS, _COORD_TEXTS), min_size=1, max_size=4))
+    def test_same_errors_and_longitudes_as_the_old_reader_checks(self, rows):
+        # Each row follows 0-2 blank lines, so the line numbers the errors carry vary.
+        text = HEADER + "".join("\n" * blanks + f"1000,{lat},{lon},1,a\n" for blanks, lat, lon in rows)
+        expected = []
+        line = 1
+        try:
+            for blanks, lat, lon in rows:
+                line += blanks + 1
+                expected.append((line, *map(struct_bits, old_reader_position(lat, lon, line))))
+        except ParseError as exc:
+            expected = ("raised", str(exc), exc.line)
+        try:
+            actual = [(n, struct_bits(p.lat), struct_bits(p.lon)) for n, _, p, _ in _read_rows(io.StringIO(text), TRAINING_HEADER)]
+        except ParseError as exc:
+            actual = ("raised", str(exc), exc.line)
+        assert actual == expected
 
 
 class TestRecordOrder:
@@ -211,18 +273,16 @@ class TestAggregateInterval:
         assert node.timestamp_ms == -1000
 
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(-80, 80, allow_nan=False), st.floats(-170, 170, allow_nan=False)
-            ),
-            min_size=1,
-            max_size=12,
+        # Each bin's longitudes from one side of +-180, less than 180 degrees apart;
+        # 180 is stored as -180, so it sits with the west.
+        st.sampled_from([st.floats(-180, -0.5) | st.just(180.0), st.floats(0.5, 180, exclude_max=True)]).flatmap(
+            lambda lons: st.lists(st.tuples(st.floats(-80, 80), lons), min_size=1, max_size=12)
         )
     )
     def test_median_within_component_bounds(self, coords):
         records = one_bin(coords, [1] * len(coords))
         (node,) = build_map(records).nodes
-        fixes = [r.position for r in records]  # GeoPoint-normalized, as the median sees them
+        fixes = [r.position for r in records]  # as stored (180 as -180), as the median sees them
         assert min(p.lat for p in fixes) <= node.position.lat <= max(p.lat for p in fixes)
         assert min(p.lon for p in fixes) <= node.position.lon <= max(p.lon for p in fixes)
 
@@ -295,10 +355,10 @@ class TestBuildMap:
     def test_matches_reference_binning(self, rows, mode):
         # Unsorted input over several clips; timestamps straddle second
         # boundaries on both sides of 0 (-1 ms is in second -1); zero counts
-        # sit inside counted bins; longitude 180 normalizes to -180.
+        # sit inside counted bins; longitude 180 is stored as -180; a counted
+        # bin across +-180 is refused.
         records = [rec(ts, lat, lon, n, clip) for ts, lat, lon, n, clip in rows]
-        nodes = build_map(records, mode).nodes
-        assert list(map(repr, nodes)) == list(map(repr, reference_nodes(records, mode)))
+        assert node_reprs(lambda: build_map(records, mode).nodes) == node_reprs(lambda: reference_nodes(records, mode))
 
     def test_bins_come_from_one_split_intervals_call(self, monkeypatch):
         calls = []
@@ -442,6 +502,9 @@ class TestSerialization:
             ({"clip_id": 7}, "string"),
             ({"lon": 200.0}, "longitude 200.0 outside"),
             ({"lon": -180.5}, "longitude -180.5 outside"),
+            # Two faults: ``GeoPoint`` checks latitude first, before the count's type.
+            ({"lat": 91.0, "lon": 200.0}, "latitude 91.0 outside"),
+            ({"lat": -90.5, "count": True}, "latitude -90.5 outside"),
         ],
     )
     def test_node_schema_enforced_in_both_formats(self, change, message):

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import destination
+from conftest import destination, wrap_lon
 from pedmap import spatial_index
 from pedmap.advisory import COINCIDENT_M
 from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
@@ -93,7 +93,7 @@ class TestBuild:
         # pole here; centroids stay at the cluster.
         rng = random.Random(17)
         pts = [
-            GeoPoint(lat0 + (rng.random() - 0.5) * lat_extent, 180.0 + (rng.random() - 0.5) * lon_extent)
+            GeoPoint(lat0 + (rng.random() - 0.5) * lat_extent, wrap_lon(180.0 + (rng.random() - 0.5) * lon_extent))
             for _ in range(2000)
         ]
         tree = build_index(pts)
@@ -254,7 +254,7 @@ _anywhere = st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180, exclude
 
 
 def _antipode(p):
-    return GeoPoint(-p.lat, p.lon + 180.0)
+    return GeoPoint(-p.lat, wrap_lon(p.lon + 180.0))
 
 
 @st.composite
@@ -267,7 +267,7 @@ def _tree_and_global_query(draw):
             _anywhere,
             st.sampled_from(pool).map(_antipode),
             st.builds(
-                lambda p, dlat, dlon: GeoPoint(max(-90.0, min(90.0, -p.lat + dlat)), p.lon + 180.0 + dlon),
+                lambda p, dlat, dlon: GeoPoint(max(-90.0, min(90.0, -p.lat + dlat)), wrap_lon(p.lon + 180.0 + dlon)),
                 st.sampled_from(pool),
                 st.floats(-1e-6, 1e-6),
                 st.floats(-1e-6, 1e-6),
