@@ -30,7 +30,7 @@ from .geodesy import (
     initial_bearing,
     interpolate_along,
 )
-from .ingest import _NON_FINITE_JSON, HotspotMap, _read_rows
+from .ingest import HotspotMap, _read_rows
 
 TRACE_HEADER = ["timestamp", "latitude", "longitude", "clip_id"]
 
@@ -326,6 +326,8 @@ def parse_trace_csv(source: Iterable[str]) -> list[DriveTrace]:
 
 # ``json.dumps``'s defaults, and with them its C encoder, but NaN and inf raise.
 _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
+# ``json``'s error for NaN and inf, without the value Python 3.12 and later append.
+_NON_FINITE_JSON = "Out of range float values are not JSON compliant"
 
 
 def timeline_to_jsonl(timeline: AdvisoryTimeline) -> Iterator[str]:

@@ -143,8 +143,6 @@ def _score(
                 k_values = [float(part) for part in ks.split(",") if part.strip()]
             except ValueError:
                 raise ValueError(f"bad --ks value {ks!r}") from None
-            if not k_values or any(k <= 0 for k in k_values):
-                raise ValueError("--ks needs positive sampling distances")
         hotspot_map = _load_map(map_file)
         trace = _load_trace(trace_csv, clip)
         windows = _windows_for_trace(ground_truth, trace)

@@ -83,8 +83,8 @@ def initial_bearing(origin: GeoPoint, target: GeoPoint) -> Heading:
 
 
 def angular_separation(a: Heading, b: Heading) -> float:
-    """Minimal absolute angle between two headings, in [0, 180] degrees."""
-    d = abs(a.degrees - b.degrees) % 360.0
+    """Minimal absolute angle between two headings, in [0, 180] degrees; both lie in [0, 360), and so does their difference."""
+    d = abs(a.degrees - b.degrees)
     return min(d, 360.0 - d)
 
 

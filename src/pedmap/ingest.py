@@ -116,21 +116,22 @@ def _parse_int(text: str, what: str, line: int) -> int:
 
 
 def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, int, GeoPoint, list[str]]]:
-    """Yield ``(line, timestamp_ms, position, row)`` per non-blank row of CSV text
-    (a file opened with ``newline=""``, or lines) whose header is exactly ``header``,
-    starting with ``timestamp,latitude,longitude``. Raises ParseError naming the bad line."""
-    reader = csv.reader(source)
-    width = len(header)
+    """Yield ``(line, timestamp_ms, position, row)`` per non-blank row of CSV text (a file opened
+    with ``newline=""``, or lines) whose header is exactly ``header``, starting with ``timestamp,latitude,longitude``.
+    A ParseError names a bad row's last line, or for malformed CSV (an unclosed quote) the line it starts on."""
+    reader = csv.reader(source, strict=True)
+    width, line = len(header), 0  # ``line``: the last line of the last row read
     try:
         first = next(reader, None)
         if first is None:
             raise ParseError("missing header row", 1)
         if first != header:
             raise ParseError(f"bad header {first!r}, expected {header!r}", 1)
+        line = reader.line_num
         for row in reader:
+            line = reader.line_num
             if not row:
                 continue
-            line = reader.line_num
             if len(row) != width:
                 raise ParseError(f"expected {width} fields, got {len(row)}", line)
             ts = _parse_int(row[0], "timestamp", line)
@@ -144,7 +145,7 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
                 raise ParseError(str(exc), line) from None
             yield line, ts, position, row
     except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
+        raise ParseError(str(exc), line + 1) from None
 
 
 def _in_record_order(records: Iterable[DetectionRecord]) -> list[DetectionRecord]:
@@ -227,8 +228,6 @@ def merge_maps(*maps: HotspotMap) -> HotspotMap:
 
 
 _NODE_KEYS = ("lat", "lon", "count", "timestamp_ms", "clip_id")
-# ``json``'s error for NaN and inf, without the value Python 3.12 and later append.
-_NON_FINITE_JSON = "Out of range float values are not JSON compliant"
 
 
 def _node_values(n: HotspotNode) -> tuple:
@@ -283,8 +282,6 @@ def _node_texts(nodes: list[HotspotNode]) -> Iterator[str]:
     sep, node_format = "\n", _NODE_FORMAT.format
     for n in nodes:
         lat, lon, count, timestamp_ms, clip_id = _node_values(n)
-        if not (isfinite(lat) and isfinite(lon)):
-            raise ValueError(_NON_FINITE_JSON)
         yield node_format(sep, repr(lat), repr(lon), repr(count), repr(timestamp_ms), encode_basestring_ascii(clip_id))
         sep = ",\n"
 

@@ -903,6 +903,10 @@ class TestParseTraceCsv:
         with pytest.raises(ParseError, match="line 3"):
             parse_trace_csv(io.StringIO(self.HEADER + "0,0,0,c\n1000,x,0,c\n"))
 
+    def test_unterminated_quote_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 3: unexpected end of data$"):
+            parse_trace_csv(io.StringIO(self.HEADER + '0,0,0,c\n1000,0.0001,0,"c\n2000,0.0002,0,c\n'))
+
 
 class TestWithSamplingDistance:
     def test_override_revalidates(self):

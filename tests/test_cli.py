@@ -173,6 +173,24 @@ class TestReplay:
         first = json.loads(result.output.splitlines()[0])
         assert (first["speed_kmh"], first["heading_deg"]) == (0.0, 0.0)
 
+    def test_trace_with_only_its_header_fails(self, runner, scenario_files):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        drive = scenario_files / "empty.csv"
+        drive.write_text("timestamp,latitude,longitude,clip_id\n")
+        result = runner.invoke(main, ["replay", str(map_file), str(drive)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {drive}: no fixes found\n"
+
+    def test_unterminated_quote_in_trace_names_its_line(self, runner, scenario_files):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        drive = scenario_files / "drive.csv"
+        lines = drive.read_text().splitlines()
+        lines[2] = lines[2].replace("drive1", '"drive1')
+        drive.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", str(map_file), str(drive)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {drive}: line 3: unexpected end of data\n"
+
     def test_multi_clip_requires_selector(self, runner, scenario_files, tmp_path):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         t1 = northbound_trace(GeoPoint(0, 0), 50.0, 30.0, clip_id="a")
@@ -265,12 +283,29 @@ class TestEvalAndSweep:
 
     def test_bad_ks_rejected(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
-        for ks in ("abc", "-2", ""):
-            result = runner.invoke(
-                main,
-                ["sweep", str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json"), "--ks", ks],
-            )
-            assert result.exit_code != 0
+        result = runner.invoke(
+            main,
+            ["sweep", str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json"), "--ks", "abc"],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: bad --ks value 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "ks, message",
+        [("-2", "sampling_distance must be >= 0.01"), ("0", "sampling_distance must be >= 0.01"), ("", "at least one sampling distance is required")],
+    )
+    def test_non_positive_or_empty_ks_rejected_before_any_replay(self, runner, scenario_files, monkeypatch, ks, message):
+        """``AdvisoryConfig`` and ``sweep_sampling_distance`` own the K rules; the CLI only parses the list."""
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        replayed = []
+        monkeypatch.setattr(evaluation, "run_replay", lambda *args: replayed.append(args))
+        result = runner.invoke(
+            main,
+            ["sweep", str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json"), "--ks", ks],
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+        assert replayed == []
 
     @pytest.mark.parametrize("ks", ["nan", "inf", "2,nan"])
     def test_non_finite_ks_rejected(self, runner, scenario_files, ks):

@@ -112,6 +112,31 @@ class TestParseDetectionLog:
         with pytest.raises(ParseError, match="header"):
             parse_detection_log(io.StringIO(""))
 
+    def test_quoted_field_may_span_lines(self):
+        records = parse_detection_log(io.StringIO(HEADER + '1000,1.0,2.0,1,"x\ny"\n2000,1.0,2.0,1,z\n'))
+        assert [r.clip_id for r in records] == ["x\ny", "z"]
+        with pytest.raises(ParseError, match="^line 3: negative"):  # a bad value names its row's last line
+            parse_detection_log(io.StringIO(HEADER + '1000,1.0,2.0,-1,"x\ny"\n'))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param('1000,1.0,2.0,1,"a\n2000,1.0,2.0,1,a\n3000,1.0,2.0,1,a\n4000,1.0,2.0,1,a\n', "line 2: unexpected end of data", id="unterminated"),
+            pytest.param('1000,1.0,2.0,1,"x\ny"\n2000,1.0,2.0,1,"b"c\n', "line 4: ',' expected after '\"'", id="bad-quote-after-two-line-row"),
+            pytest.param('1000,1.0,2.0,1,a\n\n2000,1.0,2.0,1,"a\n', "line 4: unexpected end of data", id="unterminated-after-blank"),
+            pytest.param("1000,1.0,2.0,1," + "a" * 131_073 + "\n", "line 2: field larger than field limit (131072)", id="over-long-field"),
+        ],
+    )
+    def test_malformed_csv_names_the_line_its_row_starts_on(self, body, message):
+        """Quoting is strict: an unclosed quote is an error, not a field that swallows the rest of the file."""
+        with pytest.raises(ParseError) as info:
+            parse_detection_log(io.StringIO(HEADER + body))
+        assert str(info.value) == message
+
+    def test_malformed_header_is_line_1(self):
+        with pytest.raises(ParseError, match="^line 1: unexpected end of data$"):
+            parse_detection_log(io.StringIO('"timestamp,latitude,longitude,pedestrian_count,clip_id\n1,0,0,1,a\n'))
+
     def test_sorted_by_clip_then_time(self):
         """The parser keeps file order; ``build_map`` orders the nodes by clip, then time."""
         text = HEADER + "3000,0,0,1,b\n1000,0,0,1,b\n2000,0,0,1,a\n"
@@ -445,14 +470,6 @@ class TestSerialization:
         original = build_map([rec(1000, 32.88012345, -117.23409876, 2)])
         restored = map_from_geojson(json.loads(json.dumps(map_to_geojson(original))))
         assert restored.nodes == original.nodes
-
-    def test_save_refuses_nan(self, tmp_path):
-        # GeoPoint rejects a NaN longitude, so plant one past its check.
-        point = GeoPoint(1.5, -2.5)
-        object.__setattr__(point, "lon", math.nan)
-        m = HotspotMap([HotspotNode(point, 2, 1000, "c")])
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            save_map(m, str(tmp_path / "map.json"))
 
     @settings(max_examples=300, deadline=None)
     @given(
