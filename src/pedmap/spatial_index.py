@@ -32,10 +32,10 @@ at any distance, so no point the bearing puts within 90 degrees is skipped.
 Nor is any point within 6 µm of ``p``, where ``|t·q|`` is below the slack.
 
 Construction splits a node by the farthest-point-pair heuristic: A is the
-point farthest from the node's center, which the scan for its radius finds,
-B is the point farthest from A, and the points are partitioned by proximity to
-A versus B, by dot products. Ties go to the earliest point, so construction is
-deterministic for a given input order.
+point farthest from the node's center (the radius scan finds it), B the point
+farthest from A, and each point joins the nearer of the two by dot products,
+ties going to the earliest point and to A. Each split carries its points'
+index, x, y and z lists; queries read one flat array per coordinate.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class BallTree:
     """
 
     def __init__(self, points: Sequence[GeoPoint], leaf_size: int = DEFAULT_LEAF_SIZE):
-        if leaf_size < 1:
+        if not leaf_size >= 1:
             raise ValueError("leaf_size must be >= 1")
         self._points = list(points)
         self.leaf_size = leaf_size
@@ -109,65 +109,67 @@ class BallTree:
             self._xs.append(x)
             self._ys.append(y)
             self._zs.append(z)
-        self._root = self._build(list(range(len(self._points)))) if self._points else _Ball((0.0, 0.0, 0.0), 0.0, [])
+        self._root = self._build() if self._points else _Ball((0.0, 0.0, 0.0), 0.0, [])
 
     def __len__(self) -> int:
         return len(self._points)
 
-    def _make_ball(self, indices: list[int]) -> tuple[_Ball, int]:
-        # Returns the ball and the index of a point at its radius.
-        xs, ys, zs = self._xs, self._ys, self._zs
-        sx, sy, sz = (sum(map(c.__getitem__, indices)) for c in (xs, ys, zs))
-        norm = hypot(sx, sy, sz)
+    def _make_ball(self, ids: list[int], xs: list[float], ys: list[float], zs: list[float]) -> tuple[_Ball, int]:
+        # Returns the ball and the index of a point at its radius. The centroid is sum() over the
+        # lists in point order: Python 3.12+ compensates sum(), and a hand-kept running total would not.
+        norm = hypot(sx := sum(xs), sy := sum(ys), sz := sum(zs))
         if norm == 0.0:
             # The points cancel out (an exactly antipodal pair can): any member will do.
-            i = indices[0]
-            cx, cy, cz = xs[i], ys[i], zs[i]
+            cx, cy, cz = xs[0], ys[0], zs[0]
         else:
             cx, cy, cz = sx / norm, sy / norm, sz / norm
         # From coordinate differences: 2 - 2·dot cancels at meter scale and
         # could round the radius below a member's chord.
-        farthest, far_idx = 0.0, indices[0]
-        for i in indices:
-            dx, dy, dz = xs[i] - cx, ys[i] - cy, zs[i] - cz
+        farthest, far_idx = 0.0, ids[0]
+        for i, x, y, z in zip(ids, xs, ys, zs):
+            dx, dy, dz = x - cx, y - cy, z - cz
             d = dx * dx + dy * dy + dz * dz
             if d > farthest:
                 farthest, far_idx = d, i
         return _Ball((cx, cy, cz), sqrt(farthest)), far_idx
 
-    def _split(self, indices: list[int], a_idx: int) -> tuple[list[int], list[int]]:
+    def _split(self, ids: list[int], xs: list[float], ys: list[float], zs: list[float], a_idx: int) -> tuple[tuple, tuple]:
         # B, the point farthest from A, has the smallest dot product with it.
-        xs, ys, zs = self._xs, self._ys, self._zs
-        ax, ay, az = xs[a_idx], ys[a_idx], zs[a_idx]
-        dots_a = [ax * xs[j] + ay * ys[j] + az * zs[j] for j in indices]
-        b_idx = indices[dots_a.index(min(dots_a))]
-        bx, by, bz = xs[b_idx], ys[b_idx], zs[b_idx]
-        left: list[int] = []
-        right: list[int] = []
-        for i, dot_a in zip(indices, dots_a):
-            (left if dot_a >= bx * xs[i] + by * ys[i] + bz * zs[i] else right).append(i)
-        if not left or not right:
+        ax, ay, az = self._xs[a_idx], self._ys[a_idx], self._zs[a_idx]
+        dots_a = array("d", [ax * x + ay * y + az * z for x, y, z in zip(xs, ys, zs)])
+        b = dots_a.index(min(dots_a))
+        bx, by, bz = xs[b], ys[b], zs[b]
+        left, right = ([], [], [], []), ([], [], [], [])
+        for i, x, y, z, dot_a in zip(ids, xs, ys, zs, dots_a):
+            side = left if dot_a >= bx * x + by * y + bz * z else right
+            side[0].append(i)
+            side[1].append(x)
+            side[2].append(y)
+            side[3].append(z)
+        if not left[0] or not right[0]:
             # All points tied (e.g. duplicates): halve to guarantee progress.
-            mid = len(indices) // 2
-            return indices[:mid], indices[mid:]
+            mid = len(ids) // 2
+            return (ids[:mid], xs[:mid], ys[:mid], zs[:mid]), (ids[mid:], xs[mid:], ys[mid:], zs[mid:])
         return left, right
 
-    def _build(self, root_indices: list[int]) -> _Ball:
+    def _build(self) -> _Ball:
         # Iterative construction: a degenerate split sequence must not hit the
-        # interpreter recursion limit. Each entry carries the index of a point
-        # at its ball's radius, the split's A.
-        root, far_idx = self._make_ball(root_indices)
-        stack: list[tuple[_Ball, list[int], int]] = [(root, root_indices, far_idx)]
+        # interpreter recursion limit. Each entry carries its points' index, x, y
+        # and z lists, and the index of a point at its ball's radius, the split's A.
+        leaf_size = self.leaf_size
+        pts = (list(range(len(self._points))), list(self._xs), list(self._ys), list(self._zs))
+        root, far_idx = self._make_ball(*pts)
+        stack = [(root, pts, far_idx)]
         while stack:
-            ball, indices, far_idx = stack.pop()
-            if len(indices) <= self.leaf_size:
-                ball.indices = indices
+            ball, pts, far_idx = stack.pop()
+            if len(pts[0]) <= leaf_size:
+                ball.indices = pts[0]
                 continue
-            left_idx, right_idx = self._split(indices, far_idx)
-            ball.left, left_far = self._make_ball(left_idx)
-            ball.right, right_far = self._make_ball(right_idx)
-            stack.append((ball.left, left_idx, left_far))
-            stack.append((ball.right, right_idx, right_far))
+            left, right = self._split(*pts, far_idx)
+            ball.left, left_far = self._make_ball(*left)
+            ball.right, right_far = self._make_ball(*right)
+            stack.append((ball.left, left, left_far))
+            stack.append((ball.right, right, right_far))
         return root
 
     def iter_within(self, query: GeoPoint, radius_m: float, heading: Optional[Heading] = None) -> Iterator[NeighborResult]:

@@ -4,12 +4,13 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import destination, wrap_lon
 from pedmap import spatial_index
 from pedmap.advisory import COINCIDENT_M
 from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
+from pedmap.ingest import HotspotMap, HotspotNode
 from pedmap.spatial_index import _unit_vector, build_index, nearest_brute_force
 
 
@@ -55,8 +56,14 @@ class TestBuild:
         assert result.distance == haversine_distance(GeoPoint(50, 60), p)
 
     def test_bad_leaf_size(self):
-        with pytest.raises(ValueError):
-            build_index([GeoPoint(0, 0)], leaf_size=0)
+        # NaN fails every comparison, so the check must be one that NaN fails.
+        pts = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 0)]
+        nodes = [HotspotNode(p, 1, 1000 * i, "c") for i, p in enumerate(pts)]
+        for leaf_size in (0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="leaf_size must be >= 1"):
+                build_index(pts, leaf_size=leaf_size)
+            with pytest.raises(ValueError, match="leaf_size must be >= 1"):
+                HotspotMap(nodes).build_spatial_index(leaf_size)
 
     def test_all_duplicate_points(self):
         pts = [GeoPoint(1.5, 2.5)] * 100
@@ -330,11 +337,109 @@ class TestMakeBall:
         # chord to the center, computed as _make_ball computes it, is the radius.
         tree = build_index(points)
         indices = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1, unique=True))
-        ball, far = tree._make_ball(indices)
+        coords = ([c[i] for i in indices] for c in (tree._xs, tree._ys, tree._zs))
+        ball, far = tree._make_ball(indices, *coords)
         assert far in indices
         cx, cy, cz = ball.center
         dx, dy, dz = tree._xs[far] - cx, tree._ys[far] - cy, tree._zs[far] - cz
         assert math.sqrt(dx * dx + dy * dy + dz * dz) == ball.radius
+
+
+def _reference_tree(tree):
+    """The tree the index-list build made, before each split carried its
+    points' coordinates: rebuilt from ``tree``'s arrays, it must equal ``tree``."""
+    xs, ys, zs = tree._xs, tree._ys, tree._zs
+
+    def make_ball(indices):
+        sx, sy, sz = (sum(map(c.__getitem__, indices)) for c in (xs, ys, zs))
+        norm = math.hypot(sx, sy, sz)
+        if norm == 0.0:
+            i = indices[0]
+            cx, cy, cz = xs[i], ys[i], zs[i]
+        else:
+            cx, cy, cz = sx / norm, sy / norm, sz / norm
+        farthest, far_idx = 0.0, indices[0]
+        for i in indices:
+            dx, dy, dz = xs[i] - cx, ys[i] - cy, zs[i] - cz
+            d = dx * dx + dy * dy + dz * dz
+            if d > farthest:
+                farthest, far_idx = d, i
+        return spatial_index._Ball((cx, cy, cz), math.sqrt(farthest)), far_idx
+
+    def split(indices, a_idx):
+        ax, ay, az = xs[a_idx], ys[a_idx], zs[a_idx]
+        dots_a = [ax * xs[j] + ay * ys[j] + az * zs[j] for j in indices]
+        b_idx = indices[dots_a.index(min(dots_a))]
+        bx, by, bz = xs[b_idx], ys[b_idx], zs[b_idx]
+        left, right = [], []
+        for i, dot_a in zip(indices, dots_a):
+            (left if dot_a >= bx * xs[i] + by * ys[i] + bz * zs[i] else right).append(i)
+        if not left or not right:
+            mid = len(indices) // 2
+            return indices[:mid], indices[mid:]
+        return left, right
+
+    root_indices = list(range(len(tree)))
+    root, far_idx = make_ball(root_indices)
+    stack = [(root, root_indices, far_idx)]
+    while stack:
+        ball, indices, far_idx = stack.pop()
+        if len(indices) <= tree.leaf_size:
+            ball.indices = indices
+            continue
+        left_idx, right_idx = split(indices, far_idx)
+        ball.left, left_far = make_ball(left_idx)
+        ball.right, right_far = make_ball(right_idx)
+        stack.append((ball.left, left_idx, left_far))
+        stack.append((ball.right, right_idx, right_far))
+    return root
+
+
+def _dfs(root):
+    """``(center, radius, indices)`` of every ball, parent before children, left before right."""
+    out, stack = [], [root]
+    while stack:
+        ball = stack.pop()
+        out.append((ball.center, ball.radius, ball.indices))
+        if ball.indices is None:
+            stack.extend([ball.right, ball.left])
+    return out
+
+
+_near_antimeridian = st.builds(
+    GeoPoint, st.floats(-90, 90), st.one_of(st.floats(179.999, 180), st.floats(-180, -179.999))
+)
+_near_pole = st.builds(
+    GeoPoint, st.one_of(st.floats(89.999, 90), st.floats(-90, -89.999)), st.floats(-180, 180, exclude_max=True)
+)
+# Mirror images across the prime meridian, and points on it, are exactly as
+# far from each of a mirrored pair, which the split's ``>=`` sends left.
+_edge_points = st.lists(st.one_of(_near_antimeridian, _near_pole, _sites), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.sampled_from(
+            pool
+            + [_antipode(p) for p in pool]
+            + [GeoPoint(p.lat, -p.lon) for p in pool]
+            + [GeoPoint(p.lat, 0.0) for p in pool]
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+
+
+class TestBuildMatchesIndexListBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_ball_points, _edge_points), st.one_of(st.integers(1, 8), st.just(16)))
+    @example([GeoPoint(0, 10), GeoPoint(0, -10), GeoPoint(0, 0), GeoPoint(5, 0)], 1)
+    def test_same_tree(self, points, leaf_size):
+        tree = build_index(points, leaf_size=leaf_size)
+        assert _dfs(tree._root) == _dfs(_reference_tree(tree))
+
+    def test_same_tree_on_5000_points(self):
+        rng = random.Random(5000)
+        tree = build_index(random_points(rng, 5000, extent=1.0))
+        assert _dfs(tree._root) == _dfs(_reference_tree(tree))
 
 
 @st.composite
