@@ -42,12 +42,14 @@ _set_lat, _set_lon = GeoPoint.lat.__set__, GeoPoint.lon.__set__
 
 @dataclass(frozen=True, slots=True)
 class Heading:
-    """A compass heading in degrees, clockwise from true north, normalized to [0, 360)."""
+    """A compass heading in degrees, clockwise from true north, normalized to [0, 360); NaN and ±inf raise ValueError."""
 
     degrees: float
 
     def __post_init__(self) -> None:
         d = self.degrees % 360.0
+        if d != d:  # the modulo gives NaN for NaN and ±inf alike, so one comparison refuses all three
+            raise ValueError(f"heading {self.degrees} is not finite")
         # A tiny negative angle rounds up to exactly 360 under the modulo.
         object.__setattr__(self, "degrees", 0.0 if d == 360.0 else d)
 

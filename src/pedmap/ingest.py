@@ -38,7 +38,10 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)  # ``args`` match the signature, so pickle and copy can rebuild it
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,15 +151,6 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
         raise ParseError(str(exc), line + 1) from None
 
 
-def _in_record_order(records: Iterable[DetectionRecord]) -> list[DetectionRecord]:
-    """The records ordered by clip, then time, as ``split_intervals`` bins them; a tie keeps
-    its input order. A stable sort by time, then one by clip, gives the order of one
-    sort on ``(clip_id, timestamp_ms)``, ties included, with no key tuple per record."""
-    ordered = sorted(records, key=attrgetter("timestamp_ms"))
-    ordered.sort(key=attrgetter("clip_id"))
-    return ordered
-
-
 def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
     """Parse training CSV text into records, in file order (``build_map`` orders them).
 
@@ -172,19 +166,17 @@ def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
     return records
 
 
-def _bin_key(r: DetectionRecord) -> tuple[str, int]:
-    """A record's 1-second bin: its clip and the wall-clock epoch second it falls in."""
-    return r.clip_id, r.timestamp_ms // 1000
-
-
 def split_intervals(records: list[DetectionRecord]) -> list[list[DetectionRecord]]:
     """Split records into per-clip 1-second bins aligned to wall-clock seconds.
 
-    Each element is one bin's records in ``_in_record_order``, and the bins come in
-    clip-then-time order, whatever order the records arrive in. Every record lands
-    in exactly one bin, and a bin never spans two clips or two seconds.
+    Each element is one bin's records in time order, ties in input order, and the bins
+    come in clip-then-time order, whatever order the records arrive in. Every record
+    lands in exactly one bin, and a bin never spans two clips or two seconds.
     """
-    return [list(group) for _, group in groupby(_in_record_order(records), _bin_key)]
+    # Two stable sorts give one sort on (clip_id, timestamp_ms), ties included, with no key tuple per record.
+    ordered = sorted(records, key=attrgetter("timestamp_ms"))
+    ordered.sort(key=attrgetter("clip_id"))
+    return [list(group) for _, group in groupby(ordered, lambda r: (r.clip_id, r.timestamp_ms // 1000))]
 
 
 def _median(values: list[float]) -> float:
@@ -319,7 +311,7 @@ def map_from_geojson(data: object) -> HotspotMap:
     nodes = []
     for i, feature in enumerate(data["features"]):
         geometry = feature.get("geometry") if isinstance(feature, dict) else None
-        coords = geometry.get("coordinates") if isinstance(geometry, dict) else None
+        coords = geometry.get("coordinates") if isinstance(geometry, dict) and geometry.get("type") == "Point" else None
         if not (isinstance(coords, list) and len(coords) == 2 and isinstance(feature.get("properties"), dict)):
             raise ValueError(f"feature {i}: expected a Point with [lon, lat] coordinates and properties")
         nodes.append(_node("feature", i, {**feature["properties"], "lon": coords[0], "lat": coords[1]}))

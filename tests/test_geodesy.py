@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +115,15 @@ class TestHeading:
         assert 0.0 <= degrees < 360.0
         # The value initial_bearing returned when it reduced the angle before Heading did.
         assert degrees == x % 360.0 % 360.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, x):
+        with pytest.raises(ValueError, match=f"^heading {x} is not finite$"):
+            Heading(x)
+
+    def test_replace_with_nan_refused(self):
+        with pytest.raises(ValueError, match="^heading nan is not finite$"):
+            replace(Heading(90.0), degrees=math.nan)
 
 
 class TestInitialBearing:

@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import pickle
 import random
 import statistics
 import struct
@@ -19,7 +21,6 @@ from pedmap.ingest import (
     HotspotMap,
     HotspotNode,
     ParseError,
-    _in_record_order,
     _read_rows,
     build_map,
     map_from_dict,
@@ -133,6 +134,12 @@ class TestParseDetectionLog:
             parse_detection_log(io.StringIO(HEADER + body))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))], ids=["copy", "deepcopy", "pickle"])
+    def test_parse_error_survives_copy_and_pickle(self, clone):
+        exc = clone(ParseError("non-integer timestamp 'x'", 3))
+        assert type(exc) is ParseError
+        assert (str(exc), exc.line) == ("line 3: non-integer timestamp 'x'", 3)
+
     def test_malformed_header_is_line_1(self):
         with pytest.raises(ParseError, match="^line 1: unexpected end of data$"):
             parse_detection_log(io.StringIO('"timestamp,latitude,longitude,pedestrian_count,clip_id\n1,0,0,1,a\n'))
@@ -224,7 +231,7 @@ class TestRecordOrder:
     def test_same_objects_as_one_sort_on_the_key_tuple(self, records):
         before = list(records)
         expected = sorted(records, key=attrgetter("clip_id", "timestamp_ms"))
-        assert [id(r) for r in _in_record_order(records)] == [id(r) for r in expected]
+        assert [id(r) for b in split_intervals(records) for r in b] == [id(r) for r in expected]
         assert [id(r) for r in records] == [id(r) for r in before]  # the caller's list is not reordered
 
 
@@ -560,6 +567,7 @@ class TestSerialization:
             {"type": "FeatureCollection", "features": [1]},
             {"type": "FeatureCollection", "features": [{"geometry": {"coordinates": [0]}, "properties": {}}]},
             {"type": "FeatureCollection", "features": [{"geometry": {"coordinates": [0, 0]}, "properties": []}]},
+            {"type": "FeatureCollection", "features": [{"geometry": {"type": "Polygon", "coordinates": [-117.2, 32.8]}, "properties": {"count": 1, "timestamp_ms": 0, "clip_id": "c"}}]},
         ],
     )
     def test_geojson_shape_checked(self, data):
