@@ -76,6 +76,8 @@ class HotspotNode:
     clip_id: str
 
     def __init__(self, position: GeoPoint, count: int, timestamp_ms: int, clip_id: str) -> None:
+        if not (type(count) is int and type(timestamp_ms) is int and isinstance(clip_id, str)):  # or save_map writes bad JSON
+            raise ValueError(f"count and timestamp_ms must be integers and clip_id a string, got {count!r}, {timestamp_ms!r}, {clip_id!r}")
         if count < 1:
             raise ValueError("hotspot nodes require count >= 1")
         _set_node_position(self, position)
@@ -202,11 +204,15 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
     for group in split_intervals(records):
         count = total([r.pedestrian_count for r in group])
         if count:
-            first, lons = group[0], sorted([r.position.lon for r in group])
+            first = group[0]
             start_ms = first.timestamp_ms // 1000 * 1000
-            if lons[-1] - lons[0] >= 180.0:  # its median would land on the far side of the globe
-                raise ValueError(f"longitudes >= 180 degrees apart in clip {first.clip_id!r} at {start_ms} ms")
-            position = GeoPoint(_median(sorted([r.position.lat for r in group])), _median(lons))
+            if len(group) == 1:  # a one-fix bin's median is its fix: the same stored point
+                position = first.position
+            else:
+                lons = sorted([r.position.lon for r in group])
+                if lons[-1] - lons[0] >= 180.0:  # its median would land on the far side of the globe
+                    raise ValueError(f"longitudes >= 180 degrees apart in clip {first.clip_id!r} at {start_ms} ms")
+                position = GeoPoint(_median(sorted([r.position.lat for r in group])), _median(lons))
             nodes.append(HotspotNode(position, count, start_ms, first.clip_id))
     return HotspotMap(nodes)
 
@@ -243,10 +249,7 @@ def _node(kind: str, i: int, fields: object) -> HotspotNode:
         count, timestamp_ms, clip_id = fields.get("count"), fields.get("timestamp_ms"), fields.get("clip_id")
         if not (type(lat) in (int, float) and type(lon) in (int, float) and isfinite(lat) and isfinite(lon)):
             raise ValueError(f"lat and lon must be finite numbers, got {lat!r}, {lon!r}")
-        position = GeoPoint(lat, lon)
-        if not (type(count) is int and type(timestamp_ms) is int and isinstance(clip_id, str)):
-            raise ValueError(f"count and timestamp_ms must be integers and clip_id a string, got {count!r}, {timestamp_ms!r}, {clip_id!r}")
-        return HotspotNode(position, count, timestamp_ms, clip_id)
+        return HotspotNode(GeoPoint(lat, lon), count, timestamp_ms, clip_id)  # the point first: its error is reported first
     except (ValueError, OverflowError) as exc:  # isfinite overflows on integers beyond float range
         raise ValueError(f"{kind} {i}: {exc}") from None
 

@@ -12,13 +12,14 @@ lower-bounds the chord to every point in the ball, with no trigonometry per
 ball or per point. Centroids, unlike lat/lon means, stay tight across ±180°
 and near the poles.
 
-All queries share one best-first traversal (Hjaltason & Samet 1999). A heap
-holds balls keyed by their lower bound in meters and points keyed by exact
-``haversine_distance``, which only points passing a chord prefilter pay for;
-nothing keyed above the radius is pushed. Balls pop before points at an equal
-key and points tie in index order, so hits come lazily in
-``(distance, node_index)`` order, with the distances a linear scan reports,
-and a caller may stop at the first one it wants.
+All queries share one best-first traversal (Hjaltason & Samet 1999) that
+filters, then refines. A heap holds balls keyed by their lower bound in meters,
+candidates (points past a chord prefilter) keyed by ``R`` times their chord less
+the slack, and points keyed by exact ``haversine_distance``, paid for when a
+candidate pops; nothing keyed above the radius is pushed. No key exceeds a
+covered point's distance; at an equal key balls pop first, then candidates, then
+points by index. So hits come lazily in ``(distance, node_index)`` order, with a
+linear scan's distances, and a caller may stop at the first one it wants.
 
 A query may also carry a heading, and then what lies behind it is skipped.
 Let ``t`` be the unit tangent of the heading at the query point ``p``. The
@@ -187,8 +188,8 @@ class BallTree:
         return self._browse(query, radius_m, heading)
 
     def _browse(self, query: GeoPoint, radius_m: float, heading: Optional[Heading]) -> Iterator[NeighborResult]:
-        # Heap entries are (key, kind, tiebreak, ball), kind 0 for a ball and 1
-        # for a point; ``<=`` tests keep a NaN radius from admitting anything.
+        # Heap entries are (key, kind, seq or index, ball), kind 0 for a ball, 1 for a candidate point and 2 for
+        # an exact one; no two share the first three. ``<=`` tests keep a NaN radius from admitting anything.
         pts, xs, ys, zs = self._points, self._xs, self._ys, self._zs
         q = qx, qy, qz = _unit_vector(query)
         # With no heading t is zero and the half-space tests never fire.
@@ -203,8 +204,11 @@ class BallTree:
         seq = 0
         while heap:
             key, kind, i, ball = heappop(heap)
-            if kind:
+            if kind == 2:
                 yield NeighborResult(i, key)
+            elif kind:
+                if (d := haversine_distance(query, pts[i])) <= radius_m:
+                    heappush(heap, (d, 2, i, None))
             elif ball.indices is None:
                 for child in (ball.left, ball.right):
                     cx, cy, cz = child.center
@@ -220,10 +224,9 @@ class BallTree:
                     if tx * x + ty * y + tz * z < behind:
                         continue
                     dx, dy, dz = qx - x, qy - y, qz - z
-                    if dx * dx + dy * dy + dz * dz <= reach_sq:
-                        d = haversine_distance(query, pts[i])
-                        if d <= radius_m:
-                            heappush(heap, (d, 1, i, None))
+                    if (c2 := dx * dx + dy * dy + dz * dz) <= reach_sq:
+                        # R times the chord is at most the arc, 2R asin(chord / 2): a bound with no asin.
+                        heappush(heap, (EARTH_RADIUS_M * (sqrt(c2) - _CHORD_SLACK), 1, i, None))
 
     def nearest(self, query: GeoPoint) -> Optional[NeighborResult]:
         """The indexed point minimizing haversine distance to ``query``.

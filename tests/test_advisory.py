@@ -675,6 +675,32 @@ class TestDecisionCost:
         assert len(tree.within_radius(cp.position, stopping_distance(cp.speed, cfg))) == 2000
         assert decision_calls < calls / 10, f"{decision_calls} vs {calls} haversine evals"
 
+    def test_decision_refines_only_the_point_it_uses(self, monkeypatch):
+        # The dense in-front map above: points wait in the heap keyed by their
+        # chord bound, so only the first hit, which qualifies, pays for a haversine.
+        rng = random.Random(5)
+        nodes = [
+            make_node(offset(_ORIGIN, north_m=rng.uniform(1, 45), east_m=rng.uniform(-15, 15)))
+            for _ in range(2000)
+        ]
+        hotspot_map = HotspotMap(nodes)
+        hotspot_map.index  # noqa: B018 - builds the tree before counting
+        cfg = AdvisoryConfig()
+        cp = Checkpoint(0.0, _ORIGIN, Heading(0.0), 50.0)
+
+        calls = 0
+        real = haversine_distance
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(spatial_index, "haversine_distance", counting)
+        decision = evaluate_checkpoint(cp, hotspot_map, cfg)
+        assert decision == decide_by_scan(cp, hotspot_map, cfg) and decision.active
+        assert calls == 1
+
 
 class TestRunReplay:
     def single_hotspot_setup(self, node_arc=150.0, length=220.0, speed=50.0):

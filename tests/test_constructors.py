@@ -57,6 +57,11 @@ class OldHotspotNode:
     clip_id: str
 
     def __post_init__(self) -> None:
+        if not (type(self.count) is int and type(self.timestamp_ms) is int and isinstance(self.clip_id, str)):
+            raise ValueError(
+                "count and timestamp_ms must be integers and clip_id a string, "
+                f"got {self.count!r}, {self.timestamp_ms!r}, {self.clip_id!r}"
+            )
         if self.count < 1:
             raise ValueError("hotspot nodes require count >= 1")
 

@@ -392,6 +392,27 @@ class TestBuildMap:
         records = [rec(ts, lat, lon, n, clip) for ts, lat, lon, n, clip in rows]
         assert node_reprs(lambda: build_map(records, mode).nodes) == node_reprs(lambda: reference_nodes(records, mode))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-90, 90), st.integers(-90, 90)),
+                st.one_of(st.floats(-180, 180), st.integers(-180, 180)),
+                st.integers(1, 3),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from(["max", "sum"]),
+    )
+    def test_one_fix_bin_keeps_its_fix_point(self, fixes, mode):
+        # One fix per second, at either end of it: each node is the reference's
+        # rebuilt median point, and is the very point its record holds.
+        records = [rec(1000 * s + 999 * (s % 2), lat, lon, n) for s, (lat, lon, n) in enumerate(fixes)]
+        nodes = build_map(records, mode).nodes
+        assert node_reprs(lambda: nodes) == node_reprs(lambda: reference_nodes(records, mode))
+        assert len(nodes) == len(records)
+        assert all(n.position is r.position for n, r in zip(nodes, records))
+
     def test_bins_come_from_one_split_intervals_call(self, monkeypatch):
         calls = []
 
@@ -579,3 +600,17 @@ class TestHotspotNode:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             HotspotNode(GeoPoint(0, 0), 0, 0, "c")
+
+    @pytest.mark.parametrize(
+        "count, timestamp_ms, clip_id",
+        [(True, 0, "c"), (2.5, 0, "c"), (math.nan, 0, "c"), (1, True, "c"), (1, 2.5, "c"), (1, math.nan, "c"), (1, 0, 7), (1, 0, None)],
+    )
+    def test_field_types_checked(self, count, timestamp_ms, clip_id):
+        # Each of these used to be stored, and ``save_map`` then wrote a map that
+        # is not JSON (``True``, ``NaN``) or one that ``load_map`` refuses.
+        with pytest.raises(ValueError, match="count and timestamp_ms must be integers and clip_id a string"):
+            HotspotNode(GeoPoint(1, 2), count, timestamp_ms, clip_id)
+
+    def test_boolean_count_refused_through_build_map(self):
+        with pytest.raises(ValueError, match="count and timestamp_ms must be integers"):
+            build_map([DetectionRecord(1000, GeoPoint(1, 2), True, "a")])

@@ -189,6 +189,16 @@ class TestWithinRadius:
         assert list(tree.iter_within(GeoPoint(0, 0), math.nan)) == []
         assert tree.within_radius(GeoPoint(0, 0), math.nan) == []
 
+    def test_point_just_past_radius_refined_away(self, monkeypatch):
+        # Within the chord slack of the radius, the point passes the prefilter
+        # and waits in the heap; at the front its exact distance rules it out.
+        query, point = GeoPoint(0, 0), GeoPoint(0, 0.001)
+        radius = math.nextafter(haversine_distance(query, point), 0.0)
+        calls = []
+        monkeypatch.setattr(spatial_index, "haversine_distance", lambda a, b: calls.append(b) or haversine_distance(a, b))
+        assert build_index([point]).within_radius(query, radius) == []
+        assert calls == [point]
+
     def test_set_equality_with_brute_force(self):
         rng = random.Random(123)
         for n in [1, 10, 64, 500]:
@@ -286,25 +296,35 @@ def _tree_and_global_query(draw):
 
 class TestGlobalQueries:
     @settings(max_examples=300, deadline=None)
-    @given(_tree_and_global_query())
-    def test_ball_key_never_exceeds_member_distance(self, case):
-        # An unbounded search pushes every ball but the root; each one's key
-        # must not exceed the haversine distance of any point below it.
+    @given(_tree_and_global_query(), st.data())
+    def test_ball_key_never_exceeds_member_distance(self, case, data):
+        # An unbounded search pushes every ball but the root and every point as a
+        # candidate; a search to a drawn radius, up to past the antipode, some of
+        # them. A ball's key must not exceed the haversine distance of any point
+        # below it, nor a candidate's (kind 1) its point's; an exact entry (kind 2)
+        # carries that distance.
         points, tree, query = case
         members = {id(ball): indices for ball, indices in collect_balls(tree)}
-        pushed = []
-
-        def recording(heap, entry):
-            pushed.append(entry)
-            heapq.heappush(heap, entry)
-
-        with mock.patch.object(spatial_index, "heappush", recording):
-            hits = tree.within_radius(query, math.inf)
-        assert len(hits) == len(points)
         distance = [haversine_distance(query, p) for p in points]
-        for key, kind, _, ball in pushed:
-            if kind == 0:
-                assert key <= min(distance[i] for i in members[id(ball)])
+        drawn = data.draw(st.one_of(st.sampled_from(distance), st.floats(0, 2.1e7)))
+        for radius in (math.inf, drawn):
+            pushed = []
+
+            def recording(heap, entry):
+                pushed.append(entry)
+                heapq.heappush(heap, entry)
+
+            with mock.patch.object(spatial_index, "heappush", recording):
+                hits = tree.within_radius(query, radius)
+            assert len(hits) == sum(d <= radius for d in distance)
+            assert sum(kind == 1 for _, kind, _, _ in pushed) >= len(hits)
+            for key, kind, i, ball in pushed:
+                if kind == 0:
+                    assert key <= min(distance[j] for j in members[id(ball)])
+                elif kind == 1:
+                    assert key <= distance[i]
+                else:
+                    assert key == distance[i] <= radius
 
     @settings(max_examples=300, deadline=None)
     @given(_tree_and_global_query(), st.data())
