@@ -86,6 +86,8 @@ class AdvisoryConfig:
             raise ValueError("non-positive braking denominator (friction + grade)")
         if not 0 < self.heading_threshold <= 180:
             raise ValueError("heading_threshold must be in (0, 180]")
+        if type(self.min_count) is not int:
+            raise ValueError(f"min_count must be an integer, got {self.min_count!r}")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
 
@@ -208,8 +210,8 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     multiple of K is a subset of the set for K, independent of GPS fix spacing.
     An arc exactly on a fix belongs to the segment starting there, stationary
     included, and the heading is that of the latest moving segment (the first
-    one, while the drive begins parked). Motion is listed once per call; a
-    heading is computed only on reaching a new moving segment. The arcs are the
+    one, while the drive begins parked). The walk notes each moving segment it
+    enters and computes a heading only on reaching a new one. The arcs are the
     trace's own ``arcs``, so a drive sampled at several K is measured only once.
     ``sampling_distance`` must pass the check ``AdvisoryConfig`` applies:
     finite, and at least ``MIN_SAMPLING_DISTANCE_M``.
@@ -225,21 +227,21 @@ def checkpoints(trace: DriveTrace, sampling_distance: float) -> list[Checkpoint]
     n = int(total / sampling_distance + 1e-9)
     if n * sampling_distance > total + ARC_TOLERANCE_M:
         n -= 1
-    moving = [s for s in range(last + 1) if not coincident(fixes[s].position, fixes[s + 1].position)]
-    if not moving:
+    moving = next((s for s in range(last + 1) if not coincident(fixes[s].position, fixes[s + 1].position)), None)
+    if moving is None:
         raise ValueError("degenerate trace: no segment with a defined heading")
-    seg = m = 0  # moving[m] is the latest moving segment at or before seg, else the first one
+    seg = 0  # moving is the latest moving segment at or before seg, else the first one
     heading_of = -1  # the segment ``heading`` was last computed from
     result = []
     for i in range(n + 1):
         arc = i * sampling_distance
         while seg < last and arcs[seg] < arc and arcs[seg + 1] <= arc:
             seg += 1
-        while m + 1 < len(moving) and moving[m + 1] <= seg:
-            m += 1
-        if heading_of != moving[m]:
-            heading_of = moving[m]
-            heading = initial_bearing(fixes[heading_of].position, fixes[heading_of + 1].position)
+            if not coincident(fixes[seg].position, fixes[seg + 1].position):
+                moving = seg
+        if heading_of != moving:
+            heading_of = moving
+            heading = initial_bearing(fixes[moving].position, fixes[moving + 1].position)
         a, b = fixes[seg], fixes[seg + 1]
         seg_len = arcs[seg + 1] - arcs[seg]
         frac = min((arc - arcs[seg]) / seg_len, 1.0) if seg_len > 0 else 0.0

@@ -3,23 +3,22 @@
 Each point is stored once as a 3-D unit vector ``(cos φ cos λ, cos φ sin λ,
 sin φ)``. Each tree node bounds its subtree by a ball in that space: the
 normalized centroid of its points plus the largest chord from that center to
-any of them. Chord length ``2 sin(d / 2R)`` rises with great-circle distance
-``d``, so the Euclidean triangle inequality bound
-
-    |query - center| - radius
-
-lower-bounds the chord to every point in the ball, with no trigonometry per
-ball or per point. Centroids, unlike lat/lon means, stay tight across ±180°
-and near the poles.
+any of them. By the triangle inequality, ``|query - center| - radius``
+lower-bounds the chord to every point in the ball, and a chord is at most its
+arc: ``2 sin(d / 2R) <= d / R`` for great-circle distance ``d``. So ``R`` times
+that chord bound, less a slack, is at most the distance in meters to every
+point in the ball, with no trigonometry per ball or per point. A point is a
+ball of radius 0. Centroids, unlike lat/lon means, stay tight across ±180° and
+near the poles.
 
 All queries share one best-first traversal (Hjaltason & Samet 1999) that
-filters, then refines. A heap holds balls keyed by their lower bound in meters,
-candidates (points past a chord prefilter) keyed by ``R`` times their chord less
-the slack, and points keyed by exact ``haversine_distance``, paid for when a
-candidate pops; nothing keyed above the radius is pushed. No key exceeds a
-covered point's distance; at an equal key balls pop first, then candidates, then
-points by index. So hits come lazily in ``(distance, node_index)`` order, with a
-linear scan's distances, and a caller may stop at the first one it wants.
+filters, then refines. A heap holds balls and candidate points keyed by that
+bound, and points keyed by exact ``haversine_distance``, paid for when a
+candidate pops. An entry is pushed only when its key is at most the radius, so
+no point within it is dropped. No key exceeds a covered point's distance; at an
+equal key balls pop first, then candidates, then points by index. So hits come
+lazily in ``(distance, node_index)`` order, with a linear scan's distances, and
+a caller may stop at the first one it wants.
 
 A query may also carry a heading, and then what lies behind it is skipped.
 Let ``t`` be the unit tangent of the heading at the query point ``p``. The
@@ -43,20 +42,17 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from math import asin, cos, dist, hypot, inf, pi, radians, sin, sqrt
+from math import cos, dist, hypot, inf, radians, sin, sqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geodesy import EARTH_RADIUS_M, GeoPoint, Heading, haversine_distance
 
 DEFAULT_LEAF_SIZE = 16
 
-_TWO_R = 2.0 * EARTH_RADIUS_M
-
 # Unit vectors, centers, radii and haversine all round at around 1e-15 on the
-# unit sphere. Lowering every ball bound and widening every chord test by this
-# much more (6 µm on the ground) keeps the bounds below the haversine distance
-# of every point they cover, the antipode included, so pruning and heap order
-# stay exact.
+# unit sphere. Lowering every chord bound by this much more (6 µm on the ground)
+# keeps the bounds below the haversine distance of every point they cover, the
+# antipode included, so pruning and heap order stay exact.
 _CHORD_SLACK = 1e-12
 
 
@@ -195,10 +191,6 @@ class BallTree:
         # With no heading t is zero and the half-space tests never fire.
         tx, ty, tz = _tangent(query, heading) if heading is not None else (0.0, 0.0, 0.0)
         behind = -_CHORD_SLACK
-        # Radii of half the circumference or more reach the whole sphere.
-        chord_r = 2.0 * sin(min(radius_m / _TWO_R, pi / 2))
-        reach = chord_r + _CHORD_SLACK
-        reach_sq = reach * reach
         # The root's own bound is never read (an empty tree's is a placeholder); its children are bounded when it pops.
         heap: list[tuple[float, int, int, Optional[_Ball]]] = [(-inf, 0, 0, self._root)]
         seq = 0
@@ -214,19 +206,18 @@ class BallTree:
                     cx, cy, cz = child.center
                     if tx * cx + ty * cy + tz * cz + child.radius < behind:
                         continue
-                    lb = dist(q, child.center) - child.radius - _CHORD_SLACK
-                    if lb <= chord_r:
+                    if (lb := EARTH_RADIUS_M * (dist(q, child.center) - child.radius - _CHORD_SLACK)) <= radius_m:
                         seq += 1
-                        heappush(heap, (_TWO_R * asin(lb * 0.5) if lb > 0.0 else 0.0, 0, seq, child))
+                        heappush(heap, (lb, 0, seq, child))
             else:
                 for i in ball.indices:
                     x, y, z = xs[i], ys[i], zs[i]
                     if tx * x + ty * y + tz * z < behind:
                         continue
                     dx, dy, dz = qx - x, qy - y, qz - z
-                    if (c2 := dx * dx + dy * dy + dz * dz) <= reach_sq:
-                        # R times the chord is at most the arc, 2R asin(chord / 2): a bound with no asin.
-                        heappush(heap, (EARTH_RADIUS_M * (sqrt(c2) - _CHORD_SLACK), 1, i, None))
+                    # The same bound as a ball's, of radius 0; refined to the haversine distance when it pops.
+                    if (lb := EARTH_RADIUS_M * (sqrt(dx * dx + dy * dy + dz * dz) - _CHORD_SLACK)) <= radius_m:
+                        heappush(heap, (lb, 1, i, None))
 
     def nearest(self, query: GeoPoint) -> Optional[NeighborResult]:
         """The indexed point minimizing haversine distance to ``query``.

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import random
+import re
+import sys
 from bisect import bisect_left
 
 import pytest
@@ -90,6 +92,11 @@ class TestAdvisoryConfig:
     def test_non_finite_checked_in_field_order(self):
         with pytest.raises(ValueError, match="^reaction_time must be finite$"):
             AdvisoryConfig(heading_threshold=math.nan, reaction_time=math.inf)
+
+    @pytest.mark.parametrize("value", [math.nan, 1.5, True, "2"])
+    def test_non_integer_min_count_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"^min_count must be an integer, got {re.escape(repr(value))}$"):
+            AdvisoryConfig(min_count=value)
 
     def test_huge_min_count_builds(self):
         # min_count is an int, so it never reaches isfinite, which would overflow on it.
@@ -352,6 +359,13 @@ class TestCheckpointsOracle:
             mp.setattr(advisory, "initial_bearing", bearing)
             fixes = [f.position for f in trace.fixes]
             moving = [j for j in range(len(fixes) - 1) if not coincident(fixes[j], fixes[j + 1])]
+            headed = set()  # the (from, to) fixes of each segment the reference takes a heading from
+
+            def reference_bearing(a, b, plain=initial_bearing):
+                headed.add((id(a), id(b)))
+                return plain(a, b)
+
+            mp.setattr(sys.modules[__name__], "initial_bearing", reference_bearing)
             expected = []
             for i in range(int(arcs[-1] / k + 1e-9) + 1):
                 if i * k > arcs[-1] + ARC_TOLERANCE_M:
@@ -370,7 +384,9 @@ class TestCheckpointsOracle:
             got = checkpoints(trace, k)
 
         assert calls["haversine"] == 0  # the arcs were measured when the trace was built
-        assert calls["bearing"] <= len(moving)
+        if None in expected:  # a parked start takes the first moving segment's heading
+            headed.add((id(fixes[moving[0]]), id(fixes[moving[0] + 1])))
+        assert calls["bearing"] == len(headed)
         first_heading = initial_bearing(fixes[moving[0]], fixes[moving[0] + 1])
         assert len(got) == len(expected)
         for cp, want in zip(got, expected):

@@ -199,6 +199,23 @@ class TestWithinRadius:
         assert build_index([point]).within_radius(query, radius) == []
         assert calls == [point]
 
+    def test_point_in_the_chord_band_past_radius_refined_away(self):
+        # R times a chord falls short of its arc by about d³/24R², 128 km at
+        # 5,000 km: a point 100 m past that radius is pushed as a candidate,
+        # keyed at most the radius, and its exact distance rules it out.
+        query, radius = GeoPoint(0, 0), 5_000_000.0
+        point = GeoPoint(math.degrees((radius + 100.0) / EARTH_RADIUS_M), 0.0)
+        pushed = []
+
+        def recording(heap, entry):
+            pushed.append(entry)
+            heapq.heappush(heap, entry)
+
+        with mock.patch.object(spatial_index, "heappush", recording):
+            assert build_index([point]).within_radius(query, radius) == []
+        assert [(kind, i) for _, kind, i, _ in pushed] == [(1, 0)]
+        assert pushed[0][0] <= radius < haversine_distance(query, point)
+
     def test_set_equality_with_brute_force(self):
         rng = random.Random(123)
         for n in [1, 10, 64, 500]:
@@ -301,8 +318,8 @@ class TestGlobalQueries:
         # An unbounded search pushes every ball but the root and every point as a
         # candidate; a search to a drawn radius, up to past the antipode, some of
         # them. A ball's key must not exceed the haversine distance of any point
-        # below it, nor a candidate's (kind 1) its point's; an exact entry (kind 2)
-        # carries that distance.
+        # below it, nor a candidate's (kind 1) its point's, nor either the radius;
+        # an exact entry (kind 2) carries that distance.
         points, tree, query = case
         members = {id(ball): indices for ball, indices in collect_balls(tree)}
         distance = [haversine_distance(query, p) for p in points]
@@ -321,8 +338,10 @@ class TestGlobalQueries:
             for key, kind, i, ball in pushed:
                 if kind == 0:
                     assert key <= min(distance[j] for j in members[id(ball)])
+                    assert key <= radius
                 elif kind == 1:
                     assert key <= distance[i]
+                    assert key <= radius
                 else:
                     assert key == distance[i] <= radius
 
