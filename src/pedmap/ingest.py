@@ -55,7 +55,7 @@ class DetectionRecord:
 
     # Written by hand, like ``GeoPoint``'s and ``HotspotNode``'s: one record per CSV row.
     def __init__(self, timestamp_ms: int, position: GeoPoint, pedestrian_count: int, clip_id: str) -> None:
-        if pedestrian_count < 0:
+        if not pedestrian_count >= 0:
             raise ValueError("pedestrian_count must be >= 0")
         _set_record_ts(self, timestamp_ms)
         _set_record_position(self, position)
@@ -176,9 +176,12 @@ def split_intervals(records: list[DetectionRecord]) -> list[list[DetectionRecord
     lands in exactly one bin, and a bin never spans two clips or two seconds.
     """
     # Two stable sorts give one sort on (clip_id, timestamp_ms), ties included, with no key tuple per record.
-    ordered = sorted(records, key=attrgetter("timestamp_ms"))
-    ordered.sort(key=attrgetter("clip_id"))
-    return [list(group) for _, group in groupby(ordered, lambda r: (r.clip_id, r.timestamp_ms // 1000))]
+    try:
+        ordered = sorted(records, key=attrgetter("timestamp_ms"))
+        ordered.sort(key=attrgetter("clip_id"))
+        return [list(group) for _, group in groupby(ordered, lambda r: (r.clip_id, r.timestamp_ms // 1000))]
+    except TypeError as exc:
+        raise ValueError(f"records need a string clip_id and an integer timestamp_ms: {exc}") from None
 
 
 def _median(values: list[float]) -> float:

@@ -35,7 +35,8 @@ Construction splits a node by the farthest-point-pair heuristic: A is the
 point farthest from the node's center (the radius scan finds it), B the point
 farthest from A, and each point joins the nearer of the two by dot products,
 ties going to the earliest point and to A. Each split carries its points'
-index, x, y and z lists; queries read one flat array per coordinate.
+index, x, y and z lists and its A's coordinates, so the build reads the flat
+arrays, one per coordinate, only to copy them at the root; queries read them.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ class BallTree:
             self._xs.append(x)
             self._ys.append(y)
             self._zs.append(z)
-        self._root = self._build() if self._points else _Ball((0.0, 0.0, 0.0), 0.0, [])
+        self._root = self._build(leaf_size) if self._points else _Ball((0.0, 0.0, 0.0), 0.0, [])
 
     def __len__(self) -> int:
         return len(self._points)
 
-    def _make_ball(self, ids: list[int], xs: list[float], ys: list[float], zs: list[float]) -> tuple[_Ball, int]:
-        # Returns the ball and the index of a point at its radius. The centroid is sum() over the
-        # lists in point order: Python 3.12+ compensates sum(), and a hand-kept running total would not.
+    def _make_ball(self, xs: list[float], ys: list[float], zs: list[float]) -> tuple[_Ball, tuple[float, float, float]]:
+        # Returns the ball and a point at its radius. The centroid is sum() over the lists in point
+        # order: Python 3.12+ compensates sum(), and a hand-kept running total would not.
         norm = hypot(sx := sum(xs), sy := sum(ys), sz := sum(zs))
         if norm == 0.0:
             # The points cancel out (an exactly antipodal pair can): any member will do.
@@ -122,18 +123,18 @@ class BallTree:
             cx, cy, cz = sx / norm, sy / norm, sz / norm
         # From coordinate differences: 2 - 2·dot cancels at meter scale and
         # could round the radius below a member's chord.
-        farthest, far_idx = 0.0, ids[0]
-        for i, x, y, z in zip(ids, xs, ys, zs):
+        farthest, far = 0.0, (xs[0], ys[0], zs[0])
+        for x, y, z in zip(xs, ys, zs):
             dx, dy, dz = x - cx, y - cy, z - cz
             d = dx * dx + dy * dy + dz * dz
             if d > farthest:
-                farthest, far_idx = d, i
-        return _Ball((cx, cy, cz), sqrt(farthest)), far_idx
+                farthest, far = d, (x, y, z)
+        return _Ball((cx, cy, cz), sqrt(farthest)), far
 
-    def _split(self, ids: list[int], xs: list[float], ys: list[float], zs: list[float], a_idx: int) -> tuple[tuple, tuple]:
+    def _split(self, ids: list[int], xs: list[float], ys: list[float], zs: list[float], a: tuple[float, float, float]) -> tuple[tuple, tuple]:
         # B, the point farthest from A, has the smallest dot product with it.
-        ax, ay, az = self._xs[a_idx], self._ys[a_idx], self._zs[a_idx]
-        dots_a = array("d", [ax * x + ay * y + az * z for x, y, z in zip(xs, ys, zs)])
+        ax, ay, az = a
+        dots_a = [ax * x + ay * y + az * z for x, y, z in zip(xs, ys, zs)]
         b = dots_a.index(min(dots_a))
         bx, by, bz = xs[b], ys[b], zs[b]
         left, right = ([], [], [], []), ([], [], [], [])
@@ -149,24 +150,22 @@ class BallTree:
             return (ids[:mid], xs[:mid], ys[:mid], zs[:mid]), (ids[mid:], xs[mid:], ys[mid:], zs[mid:])
         return left, right
 
-    def _build(self) -> _Ball:
-        # Iterative construction: a degenerate split sequence must not hit the
-        # interpreter recursion limit. Each entry carries its points' index, x, y
-        # and z lists, and the index of a point at its ball's radius, the split's A.
-        leaf_size = self.leaf_size
+    def _build(self, leaf_size: int) -> _Ball:
+        # Iterative construction: a degenerate split sequence must not hit the interpreter recursion
+        # limit. Each entry carries its points' index, x, y and z lists, and its split's A.
         pts = (list(range(len(self._points))), list(self._xs), list(self._ys), list(self._zs))
-        root, far_idx = self._make_ball(*pts)
-        stack = [(root, pts, far_idx)]
+        root, a = self._make_ball(*pts[1:])
+        stack = [(root, pts, a)]
         while stack:
-            ball, pts, far_idx = stack.pop()
+            ball, pts, a = stack.pop()
             if len(pts[0]) <= leaf_size:
                 ball.indices = pts[0]
                 continue
-            left, right = self._split(*pts, far_idx)
-            ball.left, left_far = self._make_ball(*left)
-            ball.right, right_far = self._make_ball(*right)
-            stack.append((ball.left, left, left_far))
-            stack.append((ball.right, right, right_far))
+            left, right = self._split(*pts, a)
+            ball.left, left_a = self._make_ball(*left[1:])
+            ball.right, right_a = self._make_ball(*right[1:])
+            stack.append((ball.left, left, left_a))
+            stack.append((ball.right, right, right_a))
         return root
 
     def iter_within(self, query: GeoPoint, radius_m: float, heading: Optional[Heading] = None) -> Iterator[NeighborResult]:

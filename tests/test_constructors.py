@@ -45,7 +45,7 @@ class OldDetectionRecord:
     clip_id: str
 
     def __post_init__(self) -> None:
-        if self.pedestrian_count < 0:
+        if not self.pedestrian_count >= 0:
             raise ValueError("pedestrian_count must be >= 0")
 
 

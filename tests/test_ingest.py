@@ -614,3 +614,18 @@ class TestHotspotNode:
     def test_boolean_count_refused_through_build_map(self):
         with pytest.raises(ValueError, match="count and timestamp_ms must be integers"):
             build_map([DetectionRecord(1000, GeoPoint(1, 2), True, "a")])
+
+
+class TestDetectionRecord:
+    def test_nan_count_refused(self):
+        # It used to construct; max() then dropped it or build_map failed, by record order.
+        with pytest.raises(ValueError, match="pedestrian_count must be >= 0"):
+            DetectionRecord(1000, GeoPoint(1, 2), math.nan, "a")
+
+    @pytest.mark.parametrize("timestamp_ms, clip_id", [(1100, 7), ("1100", "a")])
+    def test_mixed_key_types_refused_through_build_map(self, timestamp_ms, clip_id):
+        # The sort used to raise TypeError: '<' not supported between instances of 'int' and 'str'.
+        first, second = rec(1000, 1, 2, 1, "a"), rec(timestamp_ms, 1, 2, 1, clip_id)
+        for records in ([first, second], [second, first]):
+            with pytest.raises(ValueError, match="records need a string clip_id and an integer timestamp_ms"):
+                build_map(records)

@@ -372,15 +372,15 @@ class TestMakeBall:
     @settings(max_examples=300, deadline=None)
     @given(_ball_points, st.data())
     def test_returned_point_lies_on_the_radius(self, points, data):
-        # The split takes this point as A, so it must be a member, and its
-        # chord to the center, computed as _make_ball computes it, is the radius.
+        # The split takes this point as A, so it must be a member's coordinates, and
+        # its chord to the center, computed as _make_ball computes it, is the radius.
         tree = build_index(points)
         indices = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1, unique=True))
-        coords = ([c[i] for i in indices] for c in (tree._xs, tree._ys, tree._zs))
-        ball, far = tree._make_ball(indices, *coords)
-        assert far in indices
+        xs, ys, zs = ([c[i] for i in indices] for c in (tree._xs, tree._ys, tree._zs))
+        ball, (ax, ay, az) = tree._make_ball(xs, ys, zs)
+        assert (ax, ay, az) in zip(xs, ys, zs)
         cx, cy, cz = ball.center
-        dx, dy, dz = tree._xs[far] - cx, tree._ys[far] - cy, tree._zs[far] - cz
+        dx, dy, dz = ax - cx, ay - cy, az - cz
         assert math.sqrt(dx * dx + dy * dy + dz * dz) == ball.radius
 
 
