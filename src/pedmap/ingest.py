@@ -44,26 +44,21 @@ class ParseError(ValueError):
         return f"line {self.line}: {self.args[0]}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DetectionRecord:
-    """One annotated frame: where the vehicle was and how many pedestrians it saw."""
+    """One annotated frame: where the vehicle was and how many pedestrians it saw.
+    Not frozen (read once, never shared), so a field assigned later is not checked again."""
 
     timestamp_ms: int
     position: GeoPoint
     pedestrian_count: int
     clip_id: str
 
-    # Written by hand, like ``GeoPoint``'s and ``HotspotNode``'s: one record per CSV row.
-    def __init__(self, timestamp_ms: int, position: GeoPoint, pedestrian_count: int, clip_id: str) -> None:
-        if not pedestrian_count >= 0:
+    def __post_init__(self) -> None:
+        if not (type(self.timestamp_ms) is int and type(self.pedestrian_count) is int and isinstance(self.clip_id, str)):
+            raise ValueError(f"timestamp_ms and pedestrian_count must be integers and clip_id a string, got {self.timestamp_ms!r}, {self.pedestrian_count!r}, {self.clip_id!r}")
+        if self.pedestrian_count < 0:
             raise ValueError("pedestrian_count must be >= 0")
-        _set_record_ts(self, timestamp_ms)
-        _set_record_position(self, position)
-        _set_record_count(self, pedestrian_count)
-        _set_record_clip(self, clip_id)
-
-
-_set_record_ts, _set_record_position, _set_record_count, _set_record_clip = (getattr(DetectionRecord, f.name).__set__ for f in fields(DetectionRecord))
 
 
 @dataclass(frozen=True, slots=True)

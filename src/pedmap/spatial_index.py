@@ -35,8 +35,8 @@ Construction splits a node by the farthest-point-pair heuristic: A is the
 point farthest from the node's center (the radius scan finds it), B the point
 farthest from A, and each point joins the nearer of the two by dot products,
 ties going to the earliest point and to A. Each split carries its points'
-index, x, y and z lists and its A's coordinates, so the build reads the flat
-arrays, one per coordinate, only to copy them at the root; queries read them.
+index, x, y and z lists and its A's coordinates; the root's are the flat arrays,
+one per coordinate, that queries read, so the build copies none of them.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class BallTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    def _make_ball(self, xs: list[float], ys: list[float], zs: list[float]) -> tuple[_Ball, tuple[float, float, float]]:
-        # Returns the ball and a point at its radius. The centroid is sum() over the lists in point
+    def _make_ball(self, xs: Sequence[float], ys: Sequence[float], zs: Sequence[float]) -> tuple[_Ball, tuple[float, float, float]]:
+        # Returns the ball and a point at its radius. The centroid is sum() over the coordinates in point
         # order: Python 3.12+ compensates sum(), and a hand-kept running total would not.
         norm = hypot(sx := sum(xs), sy := sum(ys), sz := sum(zs))
         if norm == 0.0:
@@ -131,7 +131,7 @@ class BallTree:
                 farthest, far = d, (x, y, z)
         return _Ball((cx, cy, cz), sqrt(farthest)), far
 
-    def _split(self, ids: list[int], xs: list[float], ys: list[float], zs: list[float], a: tuple[float, float, float]) -> tuple[tuple, tuple]:
+    def _split(self, ids: list[int], xs: Sequence[float], ys: Sequence[float], zs: Sequence[float], a: tuple[float, float, float]) -> tuple[tuple, tuple]:
         # B, the point farthest from A, has the smallest dot product with it.
         ax, ay, az = a
         dots_a = [ax * x + ay * y + az * z for x, y, z in zip(xs, ys, zs)]
@@ -152,8 +152,8 @@ class BallTree:
 
     def _build(self, leaf_size: int) -> _Ball:
         # Iterative construction: a degenerate split sequence must not hit the interpreter recursion
-        # limit. Each entry carries its points' index, x, y and z lists, and its split's A.
-        pts = (list(range(len(self._points))), list(self._xs), list(self._ys), list(self._zs))
+        # limit. Each entry carries its points' index, x, y and z lists (the root's are the arrays), and its split's A.
+        pts = (list(range(len(self._points))), self._xs, self._ys, self._zs)
         root, a = self._make_ball(*pts[1:])
         stack = [(root, pts, a)]
         while stack:

@@ -21,6 +21,11 @@ def test_output_bytes(case, tmp_path):
             pytest.fail(f"{case.name}/{name} differs at {first_difference(expected, actual)}")
 
 
+def test_every_expected_directory_is_a_case():
+    # ``regenerate()`` deletes the corpus first, so only this catches a directory a renamed case left behind.
+    assert sorted(os.listdir(EXPECTED_DIR)) == sorted(case.name for case in CASES)
+
+
 def test_generator_writes_the_committed_inputs(tmp_path):
     write_inputs(str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(INPUTS_DIR))

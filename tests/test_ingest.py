@@ -612,20 +612,37 @@ class TestHotspotNode:
             HotspotNode(GeoPoint(1, 2), count, timestamp_ms, clip_id)
 
     def test_boolean_count_refused_through_build_map(self):
+        # A record checks its fields only when constructed; the node refuses what was assigned later.
+        record = rec(1000, 1, 2, 1, "a")
+        record.pedestrian_count = True
         with pytest.raises(ValueError, match="count and timestamp_ms must be integers"):
-            build_map([DetectionRecord(1000, GeoPoint(1, 2), True, "a")])
+            build_map([record])
 
 
 class TestDetectionRecord:
     def test_nan_count_refused(self):
         # It used to construct; max() then dropped it or build_map failed, by record order.
-        with pytest.raises(ValueError, match="pedestrian_count must be >= 0"):
+        with pytest.raises(ValueError, match="^timestamp_ms and pedestrian_count must be integers and clip_id a string, got 1000, nan, 'a'$"):
             DetectionRecord(1000, GeoPoint(1, 2), math.nan, "a")
+
+    @pytest.mark.parametrize(
+        "timestamp_ms, count, clip_id",
+        [(1000.0, 1, "a"), (1000.5, 1, "a"), (True, 1, "a"), (1000, 2.5, "a"), (1000, -1.5, "a"), (1000, True, "a"), (1000, 1, 7), (1000, 1, None)],
+    )
+    def test_field_types_checked(self, timestamp_ms, count, clip_id):
+        # Each of these used to construct and fail later, in HotspotNode, under the node's field names.
+        with pytest.raises(ValueError) as exc_info:
+            DetectionRecord(timestamp_ms, GeoPoint(1, 2), count, clip_id)
+        assert str(exc_info.value) == (
+            f"timestamp_ms and pedestrian_count must be integers and clip_id a string, got {timestamp_ms!r}, {count!r}, {clip_id!r}"
+        )
 
     @pytest.mark.parametrize("timestamp_ms, clip_id", [(1100, 7), ("1100", "a")])
     def test_mixed_key_types_refused_through_build_map(self, timestamp_ms, clip_id):
         # The sort used to raise TypeError: '<' not supported between instances of 'int' and 'str'.
-        first, second = rec(1000, 1, 2, 1, "a"), rec(timestamp_ms, 1, 2, 1, clip_id)
+        # Assigned after construction, which does not check the fields again.
+        first, second = rec(1000, 1, 2, 1, "a"), rec(1100, 1, 2, 1, "a")
+        second.timestamp_ms, second.clip_id = timestamp_ms, clip_id
         for records in ([first, second], [second, first]):
             with pytest.raises(ValueError, match="records need a string clip_id and an integer timestamp_ms"):
                 build_map(records)
