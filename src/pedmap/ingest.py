@@ -171,12 +171,9 @@ def split_intervals(records: list[DetectionRecord]) -> list[list[DetectionRecord
     lands in exactly one bin, and a bin never spans two clips or two seconds.
     """
     # Two stable sorts give one sort on (clip_id, timestamp_ms), ties included, with no key tuple per record.
-    try:
-        ordered = sorted(records, key=attrgetter("timestamp_ms"))
-        ordered.sort(key=attrgetter("clip_id"))
-        return [list(group) for _, group in groupby(ordered, lambda r: (r.clip_id, r.timestamp_ms // 1000))]
-    except TypeError as exc:
-        raise ValueError(f"records need a string clip_id and an integer timestamp_ms: {exc}") from None
+    ordered = sorted(records, key=attrgetter("timestamp_ms"))
+    ordered.sort(key=attrgetter("clip_id"))
+    return [list(group) for _, group in groupby(ordered, lambda r: (r.clip_id, r.timestamp_ms // 1000))]
 
 
 def _median(values: list[float]) -> float:

@@ -612,11 +612,9 @@ class TestHotspotNode:
             HotspotNode(GeoPoint(1, 2), count, timestamp_ms, clip_id)
 
     def test_boolean_count_refused_through_build_map(self):
-        # A record checks its fields only when constructed; the node refuses what was assigned later.
-        record = rec(1000, 1, 2, 1, "a")
-        record.pedestrian_count = True
-        with pytest.raises(ValueError, match="count and timestamp_ms must be integers"):
-            build_map([record])
+        # The record refuses it now, before build_map can make a node of it.
+        with pytest.raises(ValueError, match=r"^timestamp_ms and pedestrian_count must be integers and clip_id a string, got 1000, True, 'a'$"):
+            build_map([DetectionRecord(1000, GeoPoint(1, 2), True, "a")])
 
 
 class TestDetectionRecord:
@@ -640,9 +638,6 @@ class TestDetectionRecord:
     @pytest.mark.parametrize("timestamp_ms, clip_id", [(1100, 7), ("1100", "a")])
     def test_mixed_key_types_refused_through_build_map(self, timestamp_ms, clip_id):
         # The sort used to raise TypeError: '<' not supported between instances of 'int' and 'str'.
-        # Assigned after construction, which does not check the fields again.
-        first, second = rec(1000, 1, 2, 1, "a"), rec(1100, 1, 2, 1, "a")
-        second.timestamp_ms, second.clip_id = timestamp_ms, clip_id
-        for records in ([first, second], [second, first]):
-            with pytest.raises(ValueError, match="records need a string clip_id and an integer timestamp_ms"):
-                build_map(records)
+        # The second record is refused when it is built, before any sort.
+        with pytest.raises(ValueError, match=rf"^timestamp_ms and pedestrian_count must be integers and clip_id a string, got {timestamp_ms!r}, 1, {clip_id!r}$"):
+            build_map([rec(1000, 1, 2, 1, "a"), rec(timestamp_ms, 1, 2, 1, clip_id)])
