@@ -102,11 +102,10 @@ class TraceFix:
 class DriveTrace:
     """An ordered GPS trace of one test drive clip.
 
-    Timestamps must be strictly increasing and at most 2^53 in magnitude, and
-    consecutive fixes must be less than 180 degrees apart in longitude
-    (antimeridian-crossing traces are rejected). ``arcs`` holds the meters
-    along the trace from its first fix to each fix, measured once, as the
-    trace is validated.
+    Timestamps must be strictly increasing and at most 2^53 in magnitude. A
+    drive may cross ±180°: each segment runs the short way round. ``arcs``
+    holds the meters along the trace from its first fix to each fix, measured
+    once, as the trace is validated.
     """
 
     fixes: tuple[TraceFix, ...]
@@ -122,8 +121,6 @@ class DriveTrace:
                 raise ValueError(
                     f"timestamps not strictly increasing at {cur.timestamp_ms} in clip {self.clip_id!r}"
                 )
-            if abs(cur.position.lon - prev.position.lon) >= 180.0:
-                raise ValueError(f"longitude jump >= 180 degrees in clip {self.clip_id!r}")
             arcs.append(arcs[-1] + haversine_distance(prev.position, cur.position))
         object.__setattr__(self, "arcs", tuple(arcs) if self.fixes else ())
 

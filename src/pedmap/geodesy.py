@@ -8,7 +8,7 @@ clockwise from true north.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, atan2, cos, degrees, radians, sin, sqrt
+from math import asin, atan2, copysign, cos, degrees, radians, sin, sqrt
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -91,7 +91,8 @@ def angular_separation(a: Heading, b: Heading) -> float:
 
 
 def interpolate_along(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
-    """Linear lat/lon interpolation between ``a`` and ``b``.
+    """Linear lat/lon interpolation between ``a`` and ``b``, the short way round:
+    across ±180° when their longitudes lie more than 180 degrees apart.
 
     Adequate at the meter scale between consecutive GPS fixes; not a
     great-circle slerp. ``fraction`` must lie in [0, 1].
@@ -102,7 +103,8 @@ def interpolate_along(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
         return a
     if fraction == 1.0:
         return b
-    return GeoPoint(
-        a.lat + (b.lat - a.lat) * fraction,
-        a.lon + (b.lon - a.lon) * fraction,
-    )
+    dlon = b.lon - a.lon
+    if abs(dlon) > 180.0:
+        dlon -= copysign(360.0, dlon)
+    lon = a.lon + dlon * fraction
+    return GeoPoint(a.lat + (b.lat - a.lat) * fraction, lon - copysign(360.0, lon) if abs(lon) > 180.0 else lon)

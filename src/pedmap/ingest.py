@@ -17,14 +17,15 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import attrgetter
-from typing import Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal
 
 from .geodesy import GeoPoint
-from .spatial_index import DEFAULT_LEAF_SIZE, BallTree
+from .spatial_index import BallTree
 
 MAP_SCHEMA_VERSION = 1
 
@@ -55,6 +56,8 @@ class DetectionRecord:
     clip_id: str
 
     def __post_init__(self) -> None:
+        if type(self.position) is not GeoPoint:
+            raise ValueError(f"position must be a GeoPoint, got {self.position!r}")
         if not (type(self.timestamp_ms) is int and type(self.pedestrian_count) is int and isinstance(self.clip_id, str)):
             raise ValueError(f"timestamp_ms and pedestrian_count must be integers and clip_id a string, got {self.timestamp_ms!r}, {self.pedestrian_count!r}, {self.clip_id!r}")
         if self.pedestrian_count < 0:
@@ -71,6 +74,8 @@ class HotspotNode:
     clip_id: str
 
     def __init__(self, position: GeoPoint, count: int, timestamp_ms: int, clip_id: str) -> None:
+        if type(position) is not GeoPoint:
+            raise ValueError(f"position must be a GeoPoint, got {position!r}")
         if not (type(count) is int and type(timestamp_ms) is int and isinstance(clip_id, str)):  # or save_map writes bad JSON
             raise ValueError(f"count and timestamp_ms must be integers and clip_id a string, got {count!r}, {timestamp_ms!r}, {clip_id!r}")
         if count < 1:
@@ -86,23 +91,17 @@ _set_node_position, _set_node_count, _set_node_ts, _set_node_clip = (getattr(Hot
 
 @dataclass
 class HotspotMap:
-    """The trained artifact: hotspot nodes plus a lazily built ball-tree index.
-
-    Treat a completed map as immutable; concurrent readers may share it freely.
-    """
+    """The trained artifact: hotspot nodes, and their ball tree ``index``, built on first use and kept (not a field).
+    Treat a completed map as immutable; concurrent readers may share it freely."""
 
     nodes: list[HotspotNode] = field(default_factory=list)
-    _index: Optional[BallTree] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def index(self) -> BallTree:
-        if self._index is None:
-            self.build_spatial_index()
-        return self._index
+        return self.build_spatial_index()
 
-    def build_spatial_index(self, leaf_size: int = DEFAULT_LEAF_SIZE) -> BallTree:
-        self._index = BallTree([n.position for n in self.nodes], leaf_size=leaf_size)
-        return self._index
+    def build_spatial_index(self) -> BallTree:  # bench/pipeline.py times the index build by wrapping this method
+        return BallTree([n.position for n in self.nodes])
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -213,7 +212,7 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
 
 
 def merge_maps(*maps: HotspotMap) -> HotspotMap:
-    """Multiset union of the maps' nodes, in argument order; the result's index is rebuilt lazily."""
+    """Multiset union of the maps' nodes, in argument order; the result's own index is rebuilt lazily, on first use."""
     return HotspotMap(list(chain.from_iterable(m.nodes for m in maps)))
 
 

@@ -12,7 +12,8 @@ window), a missed window (a window with no node) and, at ``--min-count 9``,
 no advisory at all (an undefined precision). Two training CSVs feed ``build``,
 with a clip id that needs CSV quoting and JSON escaping; two small ones pin the
 longitudes a map stores and the refusal of a bin that straddles ±180°, and one
-leaves a quote unclosed.
+leaves a quote unclosed. A second, short drive crosses ±180° past a node on the
+far side.
 
 Only running this file rewrites the corpus; no test runs it::
 
@@ -81,6 +82,11 @@ CASES = (
     Case("build_exact_lon", ("build", "exact_lon.csv", "-o", "exact_lon.json"), ("exact_lon.json",)),
     Case("error_antimeridian_bin", ("build", "antimeridian.csv", "-o", "never.json"), exit_code=1),
     Case("error_unterminated_quote", ("build", "unterminated_quote.csv", "-o", "never.json"), exit_code=1),
+    Case(
+        "replay_antimeridian",
+        ("replay", "antimeridian_map.json", "antimeridian_drive.csv", "--sampling-distance", "5", "-o", "antimeridian.jsonl"),
+        ("antimeridian.jsonl",),
+    ),
 )
 
 
@@ -249,6 +255,12 @@ def write_inputs(directory: str) -> None:
     write("antimeridian.csv", _csv_text(header, [[1000, "10.0", "179.99999", 1, "c"], [1500, "10.0", "-179.99999", 1, "c"]]))
     # A quote left open on line 2: refused there, not read as one field running to the end of the file.
     write("unterminated_quote.csv", _csv_text(header, []) + '1000,1.0,2.0,1,"a\n2000,1.0,2.0,1,a\n3000,1.0,2.0,1,a\n4000,1.0,2.0,1,a\n')
+    # A drive east across ±180° (written as 180, stored as -180) at 1 Hz and 0.0001 degrees (11 m) a fix, past
+    # a node 0.0005 degrees beyond it: the advisory turns on after the crossing and off once the node is behind.
+    lons = ["179.9997", "179.9998", "179.9999", "180", "-179.9999", "-179.9998", "-179.9997", "-179.9996", "-179.9995", "-179.9994", "-179.9993"]
+    crossing = [[START_MS + 1000 * i, "10.0", lon, "east"] for i, lon in enumerate(lons)]
+    write("antimeridian_drive.csv", _csv_text(["timestamp", "latitude", "longitude", "clip_id"], crossing))
+    write("antimeridian_map.json", _map_text([_node(10.0, -179.9995, 2, START_MS - 86_400_000, "far side")]))
 
 
 def regenerate() -> None:

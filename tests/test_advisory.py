@@ -149,11 +149,19 @@ class TestDriveTrace:
             with pytest.raises(ValueError, match="outside"):
                 DriveTrace((TraceFix(first, a), TraceFix(last, b)), "c")
 
-    def test_longitude_jump_rejected(self):
-        with pytest.raises(ValueError, match="longitude"):
-            DriveTrace(
-                (TraceFix(0, GeoPoint(0, -179.9)), TraceFix(1000, GeoPoint(0, 179.9))), "c"
-            )
+    def test_drive_across_antimeridian_replays(self):
+        # Each fix 0.0001 degrees (11 m) east of the last, at 1 Hz; 180 is stored as -180.
+        # It used to be refused as a longitude jump of 180 degrees or more.
+        lons = [179.9998, 179.9999, 180, -179.9999, -179.9998]
+        trace = DriveTrace(tuple(TraceFix(1000 * i, GeoPoint(0, lon)) for i, lon in enumerate(lons)), "c")
+        assert trace.arcs[-1] == pytest.approx(4 * 11.1195, rel=1e-4)
+        timeline = run_replay(trace, map_of(make_node(GeoPoint(0, -179.99975))), AdvisoryConfig(sampling_distance=5))
+        cps = [d.checkpoint for d in timeline.decisions]
+        assert [cp.arc_position for cp in cps] == [5.0 * i for i in range(9)]
+        assert all(cp.heading.degrees == pytest.approx(90.0) and cp.speed == pytest.approx(40.03, abs=0.01) for cp in cps)
+        # Every checkpoint lies on the 44 m the drive covers, and the advisory is on from the 4th.
+        assert all(haversine_distance(GeoPoint(0, 179.9998), cp.position) == pytest.approx(cp.arc_position, abs=1e-6) for cp in cps)
+        assert [d.active for d in timeline.decisions] == [False] * 3 + [True] * 6
 
 
 class TestEstimateKinematics:
@@ -559,7 +567,7 @@ class TestEvaluateCheckpointOracle:
         nodes = [make_node(offset(_ORIGIN, north_m=n, east_m=e), count) for (n, e), count in offsets]
         nodes += [nodes[r] for r in repeats if r < len(nodes)]
         hotspot_map = HotspotMap(nodes)
-        hotspot_map.build_spatial_index(leaf_size=leaf_size)
+        hotspot_map.index = spatial_index.BallTree([n.position for n in nodes], leaf_size=leaf_size)
         cfg = AdvisoryConfig(min_count=min_count, heading_threshold=heading_threshold)
         cp = Checkpoint(0.0, _ORIGIN, Heading(heading), speed)
         assert evaluate_checkpoint(cp, hotspot_map, cfg) == decide_by_scan(cp, hotspot_map, cfg)
@@ -627,7 +635,7 @@ class TestBehindPruneOracle:
     )
     def test_matches_linear_scan(self, site, heading, speed, min_count, heading_threshold, leaf_size, data):
         hotspot_map = HotspotMap(data.draw(_nodes_around(site, heading)))
-        hotspot_map.build_spatial_index(leaf_size=leaf_size)
+        hotspot_map.index = spatial_index.BallTree([n.position for n in hotspot_map.nodes], leaf_size=leaf_size)
         cp = Checkpoint(0.0, site, Heading(heading), speed)
         for threshold in (heading_threshold, *_EDGE_THRESHOLDS):
             cfg = AdvisoryConfig(min_count=min_count, heading_threshold=threshold)

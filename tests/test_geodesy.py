@@ -1,9 +1,10 @@
 import math
 import random
+import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pedmap.geodesy import (
     EARTH_RADIUS_M,
@@ -186,6 +187,12 @@ class TestInterpolateAlong:
         with pytest.raises(ValueError):
             interpolate_along(GeoPoint(0, 0), GeoPoint(0, 1), fraction)
 
+    def test_crossing_the_antimeridian_takes_the_short_way(self):
+        a, b = GeoPoint(10.0, 179.9999), GeoPoint(10.0, -179.9999)
+        assert interpolate_along(a, b, 0.25).lon == pytest.approx(179.99995, abs=1e-12)
+        assert interpolate_along(b, a, 0.25).lon == pytest.approx(-179.99995, abs=1e-12)
+        assert interpolate_along(a, b, 0.5).lon == -180.0  # 180 is stored as -180
+
     def test_distance_monotone_in_fraction_for_nearby_points(self):
         # Nearby pairs (within 100 m): distance from a to the interpolant never shrinks.
         rng = random.Random(4242)
@@ -201,3 +208,55 @@ class TestInterpolateAlong:
                 d = haversine_distance(a, interpolate_along(a, b, i / 20))
                 assert d >= last - 1e-9
                 last = d
+
+
+def old_interpolate_along(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
+    """``interpolate_along`` before drives could cross ±180°, kept as the oracle."""
+    if fraction == 0.0:
+        return a
+    if fraction == 1.0:
+        return b
+    return GeoPoint(a.lat + (b.lat - a.lat) * fraction, a.lon + (b.lon - a.lon) * fraction)
+
+
+def bits(p: GeoPoint) -> bytes:
+    return struct.pack("<dd", p.lat, p.lon)
+
+
+# Any longitude, with values near ±180° drawn often so that many pairs cross it.
+near_antimeridian_lons = st.one_of(
+    lons,
+    st.floats(179.999, 180.0),
+    st.floats(-180.0, -179.999),
+    st.sampled_from([180.0, -180.0, 179.9999, -179.9999, 0.0, 5e-324]),
+)
+fractions = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1.0 - 2**-53]))
+
+
+class TestInterpolateAcrossAntimeridian:
+    @given(lat_a=lats, lon_a=near_antimeridian_lons, lat_b=lats, lon_b=near_antimeridian_lons, fraction=fractions)
+    def test_old_arithmetic_short_of_180_degrees(self, lat_a, lon_a, lat_b, lon_b, fraction):
+        a, b = GeoPoint(lat_a, lon_a), GeoPoint(lat_b, lon_b)
+        assume(abs(b.lon - a.lon) < 180.0)
+        try:
+            expected = old_interpolate_along(a, b, fraction)
+        except ValueError:  # rounding carried the old sum just past -180, which GeoPoint refused
+            return
+        assert bits(interpolate_along(a, b, fraction)) == bits(expected)
+
+    @given(lat_a=lats, lon_a=near_antimeridian_lons, lat_b=lats, lon_b=near_antimeridian_lons, fraction=fractions)
+    def test_across_180_degrees_between_the_fixes_the_short_way(self, lat_a, lon_a, lat_b, lon_b, fraction):
+        a, b = GeoPoint(lat_a, lon_a), GeoPoint(lat_b, lon_b)
+        assume(abs(b.lon - a.lon) > 180.0)
+
+        def east_of_a(lon: float) -> float:
+            """Degrees east of ``a`` (negative: west), the short way round."""
+            d = lon - a.lon
+            return d - 360.0 if d > 180.0 else d + 360.0 if d < -180.0 else d
+
+        p = interpolate_along(a, b, fraction)
+        span = east_of_a(b.lon)
+        assert abs(span) < 180.0
+        assert min(a.lat, b.lat) <= p.lat <= max(a.lat, b.lat)
+        assert min(0.0, span) - 1e-9 <= east_of_a(p.lon) <= max(0.0, span) + 1e-9
+        assert east_of_a(p.lon) == pytest.approx(span * fraction, abs=1e-9)

@@ -32,6 +32,7 @@ from pedmap.ingest import (
     save_map,
     split_intervals,
 )
+from pedmap.spatial_index import BallTree
 
 HEADER = "timestamp,latitude,longitude,pedestrian_count,clip_id\n"
 
@@ -463,9 +464,52 @@ class TestMergeMaps:
 
     def test_merge_invalidates_index(self):
         a = HotspotMap(self.nodes(1, 5))
-        a.build_spatial_index()
+        a.index  # noqa: B018 - builds a's tree
         merged = merge_maps(a, HotspotMap(self.nodes(2, 3)))
         assert len(merged.index) == 8
+
+
+class TestMapIndex:
+    """``index`` is built by ``build_spatial_index`` on first read and kept; it is not a field."""
+
+    nodes = TestMergeMaps.nodes
+
+    def counted_builds(self, monkeypatch):
+        built, build = [], HotspotMap.build_spatial_index
+        monkeypatch.setattr(HotspotMap, "build_spatial_index", lambda m: built.append(m) or build(m))
+        return built
+
+    def test_two_reads_build_once(self, monkeypatch):
+        built = self.counted_builds(monkeypatch)
+        m = HotspotMap(self.nodes(1, 5))
+        assert built == []
+        tree = m.index
+        assert m.index is tree and len(tree) == 5
+        assert built == [m]
+
+    def test_assigning_the_index_replaces_the_tree(self, monkeypatch):
+        built = self.counted_builds(monkeypatch)
+        m = HotspotMap(self.nodes(1, 5))
+        m.index = tree = BallTree([n.position for n in m.nodes], leaf_size=1)
+        assert m.index is tree and built == []
+        built_first = HotspotMap(self.nodes(1, 5))
+        built_tree = built_first.index
+        built_first.index = tree
+        assert built_first.index is tree is not built_tree and len(built) == 1
+
+    def test_a_merge_builds_its_own(self, monkeypatch):
+        built = self.counted_builds(monkeypatch)
+        a = HotspotMap(self.nodes(1, 5))
+        a.index  # noqa: B018
+        merged = merge_maps(a)
+        assert merged.index is not a.index
+        assert [id(m) for m in built] == [id(a), id(merged)]  # equal maps: compare by identity
+
+    def test_equal_nodes_compare_equal_whether_or_not_the_index_is_built(self):
+        a, b = HotspotMap(self.nodes(1, 5)), HotspotMap(self.nodes(1, 5))
+        a.index  # noqa: B018
+        assert a == b and repr(a) == repr(b)
+        assert a != HotspotMap(self.nodes(2, 5))
 
 
 class TestSerialization:
@@ -611,6 +655,13 @@ class TestHotspotNode:
         with pytest.raises(ValueError, match="count and timestamp_ms must be integers and clip_id a string"):
             HotspotNode(GeoPoint(1, 2), count, timestamp_ms, clip_id)
 
+    def test_position_must_be_a_geopoint(self):
+        # It used to construct, and save_map then failed with "'tuple' object has no attribute 'lat'".
+        with pytest.raises(ValueError, match=r"^position must be a GeoPoint, got \(1\.0, 2\.0\)$"):
+            HotspotNode((1.0, 2.0), 1, 0, "a")
+        with pytest.raises(ValueError, match="^position must be a GeoPoint, got None$"):  # checked first
+            HotspotNode(None, 0, 2.5, 7)
+
     def test_boolean_count_refused_through_build_map(self):
         # The record refuses it now, before build_map can make a node of it.
         with pytest.raises(ValueError, match=r"^timestamp_ms and pedestrian_count must be integers and clip_id a string, got 1000, True, 'a'$"):
@@ -618,6 +669,18 @@ class TestHotspotNode:
 
 
 class TestDetectionRecord:
+    def test_position_must_be_a_geopoint(self):
+        # build_map used to make a node holding the tuple, which save_map could not write.
+        with pytest.raises(ValueError, match=r"^position must be a GeoPoint, got \(1\.0, 2\.0\)$"):
+            DetectionRecord(1000, (1.0, 2.0), 1, "a")
+        with pytest.raises(ValueError, match="^position must be a GeoPoint, got None$"):  # checked first
+            DetectionRecord(1000.5, None, -1, 7)
+
+    def test_negative_count_refused(self):
+        # The CSV reader refuses it first, so only this test runs the record's own check every time.
+        with pytest.raises(ValueError, match="^pedestrian_count must be >= 0$"):
+            DetectionRecord(1000, GeoPoint(1, 2), -1, "a")
+
     def test_nan_count_refused(self):
         # It used to construct; max() then dropped it or build_map failed, by record order.
         with pytest.raises(ValueError, match="^timestamp_ms and pedestrian_count must be integers and clip_id a string, got 1000, nan, 'a'$"):

@@ -10,7 +10,6 @@ from conftest import destination, wrap_lon
 from pedmap import spatial_index
 from pedmap.advisory import COINCIDENT_M
 from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
-from pedmap.ingest import HotspotMap, HotspotNode
 from pedmap.spatial_index import _unit_vector, build_index, nearest_brute_force
 
 
@@ -58,12 +57,9 @@ class TestBuild:
     def test_bad_leaf_size(self):
         # NaN fails every comparison, so the check must be one that NaN fails.
         pts = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 0)]
-        nodes = [HotspotNode(p, 1, 1000 * i, "c") for i, p in enumerate(pts)]
         for leaf_size in (0, 0.5, math.nan):
             with pytest.raises(ValueError, match="leaf_size must be >= 1"):
                 build_index(pts, leaf_size=leaf_size)
-            with pytest.raises(ValueError, match="leaf_size must be >= 1"):
-                HotspotMap(nodes).build_spatial_index(leaf_size)
 
     def test_all_duplicate_points(self):
         pts = [GeoPoint(1.5, 2.5)] * 100
