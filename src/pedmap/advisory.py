@@ -323,7 +323,7 @@ def parse_trace_csv(source: Iterable[str]) -> list[DriveTrace]:
     return traces
 
 
-# ``json.dumps``'s defaults, and with them its C encoder, but NaN and inf raise.
+# ``JSONEncoder``'s defaults, and with them its C encoder, but NaN and inf raise.
 _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
 # ``json``'s error for NaN and inf, without the value Python 3.12 and later append.
 _NON_FINITE_JSON = "Out of range float values are not JSON compliant"

@@ -7,7 +7,6 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -181,8 +180,7 @@ def sweep(**kwargs) -> None:
 def export(map_file: str, out_path: Optional[str]) -> None:
     """Export a hotspot map as a GeoJSON FeatureCollection of points."""
     hotspot_map = _load_map(map_file)
-    text = json.dumps(ingest.map_to_geojson(hotspot_map), indent=2, allow_nan=False) + "\n"
-    _write(text, out_path, f"{len(hotspot_map)} features")
+    _write(ingest.geojson_text(hotspot_map), out_path, f"{len(hotspot_map)} features")
 
 
 if __name__ == "__main__":

@@ -103,8 +103,9 @@ def interpolate_along(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
         return a
     if fraction == 1.0:
         return b
-    dlon = b.lon - a.lon
-    if abs(dlon) > 180.0:
-        dlon -= copysign(360.0, dlon)
-    lon = a.lon + dlon * fraction
-    return GeoPoint(a.lat + (b.lat - a.lat) * fraction, lon - copysign(360.0, lon) if abs(lon) > 180.0 else lon)
+    return GeoPoint(a.lat + (b.lat - a.lat) * fraction, lon_near(a.lon + lon_near(b.lon - a.lon) * fraction))
+
+
+def lon_near(lon: float, ref: float = 0.0) -> float:
+    """``lon`` moved 360 degrees toward ``ref`` when more than 180 from it, else as it is (by default, wrapped into [-180, 180])."""
+    return lon - copysign(360.0, d) if abs(d := lon - ref) > 180.0 else lon

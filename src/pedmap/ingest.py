@@ -9,7 +9,7 @@ median vehicle position. Maps from separate drives or vehicles are merged by
 plain node-list concatenation: repeated sightings of the same spot are the
 signal, so nothing is deduplicated.
 A map file holds the bytes of ``json.dump(map_to_dict(m), indent=2)``, written
-node by node.
+node by node; ``pedmap export``'s GeoJSON is written the same way, by the same writer.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import isfinite
 from operator import attrgetter
 from typing import Iterable, Iterator, Literal
 
-from .geodesy import GeoPoint
+from .geodesy import GeoPoint, lon_near
 from .spatial_index import BallTree
 
 MAP_SCHEMA_VERSION = 1
@@ -109,9 +109,11 @@ class HotspotMap:
 
 def _parse_int(text: str, what: str, line: int) -> int:
     try:
-        return int(text)
+        if text.isascii() and "_" not in text:  # ``int`` alone also reads PEP 515 underscores and non-ASCII digits
+            return int(text)
     except ValueError:
-        raise ParseError(f"non-integer {what} {text!r}", line) from None
+        pass
+    raise ParseError(f"non-integer {what} {text!r}", line)
 
 
 def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, int, GeoPoint, list[str]]]:
@@ -135,6 +137,8 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
                 raise ParseError(f"expected {width} fields, got {len(row)}", line)
             ts = _parse_int(row[0], "timestamp", line)
             try:
+                if not (coords := row[1] + row[2]).isascii() or "_" in coords:  # as in ``_parse_int``, for ``float``
+                    raise ValueError
                 lat, lon = float(row[1]), float(row[2])
             except ValueError:
                 raise ParseError(f"non-numeric coordinate {row[1]!r},{row[2]!r}", line) from None
@@ -185,11 +189,11 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
     """Aggregate records into a hotspot map, one node per ``split_intervals`` bin
     in which a pedestrian was seen, ordered by clip then bin start.
 
-    A node sits at the component-wise median of its bin's fixes (an even number of
-    fixes averages the two middle values per component), zero-count fixes included.
+    A node sits at the component-wise median of its bin's fixes (an even number of fixes averages the two middle
+    values per component), zero-count fixes included, each longitude taken on the side of ±180° nearest the bin's
+    first fix and the median wrapped back; a counted bin that still spans 180 degrees or more raises ValueError.
     Its count is the max of the per-fix counts by default; ``sum`` adds them instead,
-    which over-counts pedestrians that stay in view across frames. A counted bin
-    whose longitudes span 180 degrees or more straddles ±180° and raises ValueError.
+    which over-counts pedestrians that stay in view across frames.
     """
     if count_mode not in ("max", "sum"):
         raise ValueError(f"count_mode must be 'max' or 'sum', got {count_mode!r}")
@@ -203,10 +207,10 @@ def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> 
             if len(group) == 1:  # a one-fix bin's median is its fix: the same stored point
                 position = first.position
             else:
-                lons = sorted([r.position.lon for r in group])
-                if lons[-1] - lons[0] >= 180.0:  # its median would land on the far side of the globe
+                lons = sorted([lon_near(r.position.lon, first.position.lon) for r in group])
+                if lons[-1] - lons[0] >= 180.0:  # no short way round: its median could land anywhere
                     raise ValueError(f"longitudes >= 180 degrees apart in clip {first.clip_id!r} at {start_ms} ms")
-                position = GeoPoint(_median(sorted([r.position.lat for r in group])), _median(lons))
+                position = GeoPoint(_median(sorted([r.position.lat for r in group])), lon_near(_median(lons)))
             nodes.append(HotspotNode(position, count, start_ms, first.clip_id))
     return HotspotMap(nodes)
 
@@ -261,29 +265,31 @@ def map_from_dict(data: object) -> HotspotMap:
     return HotspotMap([_node("node", i, n) for i, n in enumerate(nodes)])
 
 
-# ``json.dump(map_to_dict(m), f, indent=2)`` around its node list, split at the
-# empty list, and one node as that call lays it out, after its list separator.
-_MAP_HEAD, _MAP_TAIL = json.dumps(map_to_dict(HotspotMap()), indent=2).split("[]")
-_NODE_FORMAT = "{}    {{\n" + ",\n".join(f'      "{k}": {{}}' for k in _NODE_KEYS) + "\n    }}"
+# One node as ``json.dump(doc, f, indent=2)`` lays it out in a map's, or a GeoJSON document's, list one level deep:
+# its list separator, then its values in ``_NODE_KEYS`` order. A feature's coordinates are [lon, lat], its properties the rest.
+_NODE_FORMAT = "{0}    {{\n" + ",\n".join(f'      "{k}": {{{i}}}' for i, k in enumerate(_NODE_KEYS, 1)) + "\n    }}"
+_FEATURE_FORMAT = (
+    '{0}    {{\n      "type": "Feature",\n      "geometry": {{\n        "type": "Point",\n        "coordinates": [\n'
+    '          {2},\n          {1}\n        ]\n      }},\n      "properties": {{\n'
+    + ",\n".join(f'        "{k}": {{{i}}}' for i, k in enumerate(_NODE_KEYS[2:], 3)) + "\n      }}\n    }}"
+)
 
 
-def _node_texts(nodes: list[HotspotNode]) -> Iterator[str]:
-    sep, node_format = "\n", _NODE_FORMAT.format
+def _document(nodes: list[HotspotNode], head: str, node_format: str, tail: str) -> Iterator[str]:
+    """What ``json.dump(doc, f, indent=2, allow_nan=False)`` writes plus a newline, piece by piece, for the document
+    ``head``, list of ``nodes`` (each laid out by ``node_format``), ``tail``, without building its dicts or its whole text."""
+    sep, node_format = head + "[\n", node_format.format
     for n in nodes:
         lat, lon, count, timestamp_ms, clip_id = _node_values(n)
         yield node_format(sep, repr(lat), repr(lon), repr(count), repr(timestamp_ms), encode_basestring_ascii(clip_id))
         sep = ",\n"
+    yield ("\n  ]" if nodes else head + "[]") + tail + "\n"
 
 
 def save_map(hotspot_map: HotspotMap, path: str) -> None:
-    """Write the bytes of ``json.dump(map_to_dict(m), f, indent=2, allow_nan=False)``
-    plus a newline, node by node, without building the node dicts or the whole text."""
+    """Write the bytes of ``json.dump(map_to_dict(m), f, indent=2, allow_nan=False)`` plus a newline, node by node."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_MAP_HEAD + "[")
-        if hotspot_map.nodes:
-            f.writelines(_node_texts(hotspot_map.nodes))
-            f.write("\n  ")
-        f.write("]" + _MAP_TAIL + "\n")
+        f.writelines(_document(hotspot_map.nodes, f'{{\n  "schema_version": {MAP_SCHEMA_VERSION},\n  "nodes": ', _NODE_FORMAT, "\n}"))
 
 
 def load_map(path: str) -> HotspotMap:
@@ -291,18 +297,13 @@ def load_map(path: str) -> HotspotMap:
         return map_from_dict(json.load(f))
 
 
-def map_to_geojson(hotspot_map: HotspotMap) -> dict:
-    """GeoJSON FeatureCollection of Point features, one per ``map_to_dict`` node:
-    its ``lon`` and ``lat`` become the [lon, lat] coordinates, and its other keys the properties."""
-    features = []
-    for properties in map_to_dict(hotspot_map)["nodes"]:
-        coordinates = [properties.pop("lon"), properties.pop("lat")]
-        features.append({"type": "Feature", "geometry": {"type": "Point", "coordinates": coordinates}, "properties": properties})
-    return {"type": "FeatureCollection", "features": features}
+def geojson_text(hotspot_map: HotspotMap) -> str:
+    """The map as a GeoJSON FeatureCollection with one Point feature per node, laid out as ``save_map`` lays out a map."""
+    return "".join(_document(hotspot_map.nodes, '{\n  "type": "FeatureCollection",\n  "features": ', _FEATURE_FORMAT, "\n}"))
 
 
 def map_from_geojson(data: object) -> HotspotMap:
-    """Rebuild a map from its GeoJSON export (the inverse of ``map_to_geojson``)."""
+    """Rebuild a map from its GeoJSON export (the inverse of ``pedmap export``)."""
     if not (isinstance(data, dict) and data.get("type") == "FeatureCollection" and isinstance(data.get("features"), list)):
         raise ValueError("expected a GeoJSON FeatureCollection")
     nodes = []

@@ -953,6 +953,20 @@ class TestParseTraceCsv:
         with pytest.raises(ParseError, match="line 3"):
             parse_trace_csv(io.StringIO(self.HEADER + "0,0,0,c\n1000,x,0,c\n"))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1_000,1_0,2,c", "non-integer timestamp '1_000'"),
+            ("\u0661\u0662,1,2,c", "non-integer timestamp '\u0661\u0662'"),
+            ("1000,1_0,2,c", "non-numeric coordinate '1_0','2'"),
+            ("1000,1,\u0662,c", "non-numeric coordinate '1','\u0662'"),
+        ],
+    )
+    def test_numbers_are_ascii_without_underscores(self, row, message):
+        with pytest.raises(ParseError) as info:
+            parse_trace_csv(io.StringIO(self.HEADER + "0,0,0,c\n" + row + "\n"))
+        assert str(info.value) == f"line 3: {message}"
+
     def test_unterminated_quote_names_its_line(self):
         with pytest.raises(ParseError, match="^line 3: unexpected end of data$"):
             parse_trace_csv(io.StringIO(self.HEADER + '0,0,0,c\n1000,0.0001,0,"c\n2000,0.0002,0,c\n'))

@@ -355,7 +355,7 @@ def test_help_lists_every_config_field_with_its_default(runner, command):
 
 
 # Key order, [lon, lat] coordinates and two-space indentation, byte for byte.
-EXPECTED_TWO_NODE_EXPORT = """\
+EXPECTED_EXPORT = """\
 {
   "type": "FeatureCollection",
   "features": [
@@ -387,6 +387,21 @@ EXPECTED_TWO_NODE_EXPORT = """\
         "count": 1,
         "timestamp_ms": -7,
         "clip_id": "b"
+      }
+    },
+    {
+      "type": "Feature",
+      "geometry": {
+        "type": "Point",
+        "coordinates": [
+          -0.5,
+          5
+        ]
+      },
+      "properties": {
+        "count": 1234567890123456789012345678901,
+        "timestamp_ms": 0,
+        "clip_id": "q\\"\\\\\\u0007\\u00e9"
       }
     }
   ]
@@ -428,11 +443,13 @@ class TestExport:
         nodes = [
             {"lat": 32.88, "lon": -117.234, "count": 3, "timestamp_ms": 1000, "clip_id": "a"},
             {"lat": -1.5, "lon": 2.25, "count": 1, "timestamp_ms": -7, "clip_id": "b"},
+            # An integer lat, a 31-digit count, and a quote, a backslash, a control and a non-ASCII character.
+            {"lat": 5, "lon": -0.5, "count": 1234567890123456789012345678901, "timestamp_ms": 0, "clip_id": 'q"\\\x07\u00e9'},
         ]
         map_file.write_text(json.dumps({"schema_version": 1, "nodes": nodes}))
         result = runner.invoke(main, ["export", str(map_file)])
         assert result.exit_code == 0
-        assert result.output == EXPECTED_TWO_NODE_EXPORT
+        assert result.output == EXPECTED_EXPORT
 
     def test_unreadable_map_fails(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -23,10 +23,10 @@ from pedmap.ingest import (
     ParseError,
     _read_rows,
     build_map,
+    geojson_text,
     map_from_dict,
     map_from_geojson,
     map_to_dict,
-    map_to_geojson,
     merge_maps,
     parse_detection_log,
     save_map,
@@ -50,7 +50,9 @@ def reference_nodes(records, mode):
     """``build_map``'s nodes, worked out without its helpers: one stable sort on the
     ``(clip_id, timestamp_ms)`` key tuple, bins keyed ``(clip_id, second)`` in a dict,
     ``statistics.median`` per component, ``max`` or ``sum``, and zero-count bins dropped.
-    The first counted bin whose longitudes lie 180 degrees or more apart raises ValueError."""
+    A longitude more than 180 degrees east (west) of its bin's first fix is taken 360
+    west (east), and a median beyond ±180 is moved back by 360. The first counted bin
+    whose longitudes still lie 180 degrees or more apart raises ValueError."""
     bins = {}
     for r in sorted(records, key=lambda r: (r.clip_id, r.timestamp_ms)):
         bins.setdefault((r.clip_id, r.timestamp_ms // 1000), []).append(r)
@@ -59,12 +61,26 @@ def reference_nodes(records, mode):
     for (clip, sec), group in bins.items():
         count = total(r.pedestrian_count for r in group)
         if count:
+            first = group[0].position.lon
             lons = [r.position.lon for r in group]
+            lons = [lon - 360.0 if lon - first > 180.0 else lon + 360.0 if lon - first < -180.0 else lon for lon in lons]
             if max(lons) - min(lons) >= 180.0:
                 raise ValueError(f"longitudes >= 180 degrees apart in clip {clip!r} at {sec * 1000} ms")
-            position = GeoPoint(statistics.median(r.position.lat for r in group), statistics.median(lons))
+            lon = statistics.median(lons)
+            lon = lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+            position = GeoPoint(statistics.median(r.position.lat for r in group), lon)
             nodes.append(HotspotNode(position, count, sec * 1000, clip))
     return nodes
+
+
+def map_to_geojson(hotspot_map):
+    """The oracle for ``geojson_text``: a GeoJSON FeatureCollection of Point features, one per ``map_to_dict``
+    node, its ``lon`` and ``lat`` the [lon, lat] coordinates and its other keys the properties."""
+    features = []
+    for properties in map_to_dict(hotspot_map)["nodes"]:
+        coordinates = [properties.pop("lon"), properties.pop("lat")]
+        features.append({"type": "Feature", "geometry": {"type": "Point", "coordinates": coordinates}, "properties": properties})
+    return {"type": "FeatureCollection", "features": features}
 
 
 def node_reprs(make_nodes):
@@ -99,6 +115,27 @@ class TestParseDetectionLog:
             parse_detection_log(io.StringIO(HEADER + "1000,zero,0,1,a\n"))
         with pytest.raises(ParseError, match="line 2"):
             parse_detection_log(io.StringIO(HEADER + "10.5,0,0,1,a\n"))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1_000,1_0,2,1_0,a", "non-integer timestamp '1_000'"),
+            ("\u0661\u0662,1,2,\u0661\u0662,a", "non-integer timestamp '\u0661\u0662'"),
+            ("1000,1_0,2,1,a", "non-numeric coordinate '1_0','2'"),
+            ("1000,1,\u0662.5,1,a", "non-numeric coordinate '1','\u0662.5'"),
+            ("1000,1,2,1_0,a", "non-integer pedestrian_count '1_0'"),
+            ("1000,1,2,\uff11,a", "non-integer pedestrian_count '\uff11'"),
+        ],
+    )
+    def test_numbers_are_ascii_without_underscores(self, row, message):
+        # ``int`` and ``float`` also read PEP 515 underscores and non-ASCII digits; a CSV number holds neither.
+        with pytest.raises(ParseError) as info:
+            parse_detection_log(io.StringIO(HEADER + row + "\n"))
+        assert str(info.value) == f"line 2: {message}"
+
+    def test_other_number_spellings_still_read(self):
+        (r,) = parse_detection_log(io.StringIO(HEADER + " +12 ,+1.5,2E0, 3 ,a_b\n"))
+        assert (r.timestamp_ms, r.position, r.pedestrian_count, r.clip_id) == (12, GeoPoint(1.5, 2.0), 3, "a_b")
 
     def test_latlon_out_of_range(self):
         with pytest.raises(ParseError, match="latitude"):
@@ -414,6 +451,45 @@ class TestBuildMap:
         assert len(nodes) == len(records)
         assert all(n.position is r.position for n, r in zip(nodes, records))
 
+    @pytest.mark.parametrize(
+        "lons, node_lon",
+        [
+            (["179.9999", "180"], 179.99995),  # 180 is stored as -180, the same meridian
+            (["179.99999", "-179.99999"], -180.0),
+            (["-179.9", "179.9", "-179.8"], -179.9),
+        ],
+    )
+    def test_bin_across_the_antimeridian_builds_its_node_there(self, lons, node_lon):
+        rows = "".join(f"{1000 + i},10.0,{lon},1,c\n" for i, lon in enumerate(lons))
+        (node,) = build_map(parse_detection_log(io.StringIO(HEADER + rows))).nodes
+        assert node.position == GeoPoint(10.0, node_lon)
+
+    def test_bin_with_no_short_way_round_is_refused(self):
+        # 0, 120 and -120 lie 120 degrees apart each way: on either side of the first fix, they still span 240.
+        with pytest.raises(ValueError, match="^longitudes >= 180 degrees apart in clip 'clipA' at 1000 ms$"):
+            build_map(one_bin([(0, 0), (0, 120), (0, -120)], [1, 0, 0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-90, 90),
+                st.one_of(st.floats(-180, 180), st.sampled_from([180.0, -180.0, 179.99999, -179.99999, 0.5, -0.0])),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_bins_that_do_not_cross_the_antimeridian_keep_the_old_arithmetic(self, coords):
+        # Keep the fixes less than 180 degrees east of the westmost, as stored: the bins the
+        # old component-wise median took. Their nodes keep its bits.
+        west = min(GeoPoint(lat, lon).lon for lat, lon in coords)
+        records = one_bin([(lat, lon) for lat, lon in coords if GeoPoint(lat, lon).lon - west < 180.0], [1] * len(coords))
+        (node,) = build_map(records).nodes
+        lats, lons = [r.position.lat for r in records], [r.position.lon for r in records]
+        old = (statistics.median(lats), statistics.median(lons))
+        assert (struct_bits(node.position.lat), struct_bits(node.position.lon)) == tuple(map(struct_bits, old))
+
     def test_bins_come_from_one_split_intervals_call(self, monkeypatch):
         calls = []
 
@@ -532,7 +608,7 @@ class TestSerialization:
 
     def test_geojson_shape(self):
         m = HotspotMap([HotspotNode(GeoPoint(32.88, -117.23), 2, 1000, "c")])
-        geo = map_to_geojson(m)
+        geo = json.loads(geojson_text(m))
         assert geo["type"] == "FeatureCollection"
         feature = geo["features"][0]
         assert feature["geometry"]["coordinates"] == [-117.23, 32.88]  # lon, lat order
@@ -540,7 +616,7 @@ class TestSerialization:
 
     def test_geojson_round_trip(self):
         original = build_map([rec(1000, 32.88012345, -117.23409876, 2)])
-        restored = map_from_geojson(json.loads(json.dumps(map_to_geojson(original))))
+        restored = map_from_geojson(json.loads(geojson_text(original)))
         assert restored.nodes == original.nodes
 
     @settings(max_examples=300, deadline=None)
@@ -562,15 +638,17 @@ class TestSerialization:
         )
     )
     def test_save_writes_json_dump_bytes(self, nodes):
+        # Both documents come from one writer: the map file, and the GeoJSON text ``pedmap export`` writes.
         m = HotspotMap(nodes)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "map.json"
             save_map(m, str(path))
             written = path.read_bytes()
         assert written == (json.dumps(map_to_dict(m), indent=2, allow_nan=False) + "\n").encode("utf-8")
+        assert geojson_text(m) == json.dumps(map_to_geojson(m), indent=2, allow_nan=False) + "\n"
 
     def test_empty_geojson(self):
-        assert map_to_geojson(HotspotMap()) == {"type": "FeatureCollection", "features": []}
+        assert geojson_text(HotspotMap()) == '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
 
     GOOD_NODE = {"lat": 1.5, "lon": -2.5, "count": 2, "timestamp_ms": 1000, "clip_id": "c"}
 
