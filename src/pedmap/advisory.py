@@ -187,13 +187,17 @@ def stopping_distance(speed_kmh: float, cfg: AdvisoryConfig) -> float:
     """AASHTO perception-reaction plus braking distance, scaled by the safety factor.
 
     ``s = b * (0.278 * t * v + v^2 / (254 * (f + G)))`` with v in km/h, s in meters.
+    A result too large for a float raises ValueError.
     """
-    if speed_kmh < 0:
+    if not speed_kmh >= 0:  # NaN too
         raise ValueError("speed must be >= 0")
-    # AdvisoryConfig guarantees friction + grade > 0.
-    return cfg.safety_factor * (
+    # AdvisoryConfig guarantees finite fields and friction + grade > 0, so only an overflow to inf is not finite.
+    s = cfg.safety_factor * (
         0.278 * cfg.reaction_time * speed_kmh + speed_kmh**2 / (254.0 * (cfg.friction + cfg.grade))
     )
+    if not isfinite(s):
+        raise ValueError(f"stopping distance overflows at {speed_kmh:g} km/h")
+    return s
 
 
 # --- trace geometry ---------------------------------------------------------
@@ -325,26 +329,20 @@ def parse_trace_csv(source: Iterable[str]) -> list[DriveTrace]:
 
 # ``JSONEncoder``'s defaults, and with them its C encoder, but NaN and inf raise.
 _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
-# ``json``'s error for NaN and inf, without the value Python 3.12 and later append.
-_NON_FINITE_JSON = "Out of range float values are not JSON compliant"
 
 
 def timeline_to_jsonl(timeline: AdvisoryTimeline) -> Iterator[str]:
     """One JSON object per advisory decision, in replay order; a non-finite value raises ValueError."""
     for decision in timeline.decisions:
         cp = decision.checkpoint
-        try:
-            line = _JSONL_ENCODER.encode({
-                "arc_m": cp.arc_position,
-                "lat": cp.position.lat,
-                "lon": cp.position.lon,
-                "speed_kmh": cp.speed,
-                "heading_deg": cp.heading.degrees,
-                "stopping_distance_m": decision.stopping_distance,
-                "active": decision.active,
-                "nearest_front_m": decision.nearest_front_distance,
-                "nearest_front_sep_deg": decision.nearest_front_heading_sep,
-            })
-        except ValueError:
-            raise ValueError(_NON_FINITE_JSON) from None
-        yield line
+        yield _JSONL_ENCODER.encode({
+            "arc_m": cp.arc_position,
+            "lat": cp.position.lat,
+            "lon": cp.position.lon,
+            "speed_kmh": cp.speed,
+            "heading_deg": cp.heading.degrees,
+            "stopping_distance_m": decision.stopping_distance,
+            "active": decision.active,
+            "nearest_front_m": decision.nearest_front_distance,
+            "nearest_front_sep_deg": decision.nearest_front_heading_sep,
+        })

@@ -15,13 +15,15 @@ EARTH_RADIUS_M = 6_371_000.0
 # Two points closer than this (in degrees, per component) have no defined bearing.
 COINCIDENT_DEG = 1e-12
 
+_COORDINATE_TYPES = frozenset((int, float))  # the exact types whose repr the map writers print as a JSON number
+
 
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS84 latitude/longitude pair.
 
-    Latitude must lie in [-90, 90] and longitude in [-180, 180]. Both are stored
-    as given, except that longitude 180 is stored as -180 (one meridian) and -0.0 as 0.0.
+    Latitude must lie in [-90, 90] and longitude in [-180, 180], each an exact int or float.
+    Both are stored as given, except that longitude 180 is stored as -180 (one meridian) and -0.0 as 0.0.
     """
 
     lat: float
@@ -29,6 +31,8 @@ class GeoPoint:
 
     # Written by hand to store each field once, through its slot setter (bound below): one point per CSV row.
     def __init__(self, lat: float, lon: float) -> None:
+        if type(lat) not in _COORDINATE_TYPES or type(lon) not in _COORDINATE_TYPES:
+            raise ValueError(f"latitude and longitude must be int or float, got {type(lat).__name__} {lat!r}, {type(lon).__name__} {lon!r}")
         if not -90.0 <= lat <= 90.0:
             raise ValueError(f"latitude {lat} outside [-90, 90]")
         if not -180.0 <= lon <= 180.0:

@@ -99,7 +99,6 @@ class BallTree:
         if not leaf_size >= 1:
             raise ValueError("leaf_size must be >= 1")
         self._points = list(points)
-        self.leaf_size = leaf_size
         # One flat array per coordinate: a tuple per point costs ~140 bytes.
         self._xs, self._ys, self._zs = array("d"), array("d"), array("d")
         for p in self._points:

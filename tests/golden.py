@@ -13,7 +13,8 @@ no advisory at all (an undefined precision). Two training CSVs feed ``build``,
 with a clip id that needs CSV quoting and JSON escaping; two small ones pin the
 longitudes a map stores and the node of a bin that straddles ±180°, and one
 leaves a quote unclosed. A second, short drive crosses ±180° past a node on the
-far side.
+far side. A sweep at ``--reaction-time 1e308`` fails on the first stopping
+distance that overflows.
 
 Only running this file rewrites the corpus; no test runs it::
 
@@ -82,6 +83,7 @@ CASES = (
     Case("build_exact_lon", ("build", "exact_lon.csv", "-o", "exact_lon.json"), ("exact_lon.json",)),
     Case("build_antimeridian_bin", ("build", "antimeridian.csv", "-o", "antimeridian.json"), ("antimeridian.json",)),
     Case("error_unterminated_quote", ("build", "unterminated_quote.csv", "-o", "never.json"), exit_code=1),
+    Case("error_stopping_distance", ("sweep", *_SCORE, "--reaction-time", "1e308"), exit_code=1),
     Case(
         "replay_antimeridian",
         ("replay", "antimeridian_map.json", "antimeridian_drive.csv", "--sampling-distance", "5", "-o", "antimeridian.jsonl"),

@@ -7,7 +7,7 @@ import sys
 from bisect import bisect_left
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import destination, map_of, make_node, northbound_trace, offset, random_scenario, wrap_lon
 from pedmap import advisory, evaluation, spatial_index
@@ -124,8 +124,33 @@ class TestStoppingDistance:
         assert stopping_distance(1e-9, AdvisoryConfig()) == pytest.approx(0.0, abs=1e-8)
 
     def test_negative_speed_rejected(self):
-        with pytest.raises(ValueError):
-            stopping_distance(-1.0, AdvisoryConfig())
+        for speed in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^speed must be >= 0$"):
+                stopping_distance(speed, AdvisoryConfig())
+
+    @settings(max_examples=500)
+    @given(
+        speed=st.one_of(st.floats(0, 100), st.floats(0, 1e12)),
+        reaction_time=st.floats(0, exclude_min=True, allow_infinity=False),
+        friction=st.floats(allow_nan=False, allow_infinity=False),
+        grade=st.floats(allow_nan=False, allow_infinity=False),
+        safety_factor=st.floats(0, exclude_min=True, allow_infinity=False),
+    )
+    @example(speed=50.0, reaction_time=1e308, friction=0.7, grade=0.0, safety_factor=1.0)
+    @example(speed=50.0, reaction_time=2.5, friction=0.7, grade=0.0, safety_factor=1e308)
+    @example(speed=50.0, reaction_time=2.5, friction=5e-324, grade=0.0, safety_factor=1.0)
+    @example(speed=0.0, reaction_time=1e308, friction=1e308, grade=1e308, safety_factor=1e308)
+    def test_formula_or_overflow_error(self, speed, reaction_time, friction, grade, safety_factor):
+        # Where the formula is finite the result has its bits; where it overflows to inf, the call raises.
+        assume(friction + grade > 0)
+        cfg = AdvisoryConfig(reaction_time=reaction_time, friction=friction, grade=grade, safety_factor=safety_factor)
+        expected = safety_factor * (0.278 * reaction_time * speed + speed**2 / (254.0 * (friction + grade)))
+        if math.isfinite(expected):
+            assert stopping_distance(speed, cfg).hex() == expected.hex()
+        else:
+            assert expected == math.inf
+            with pytest.raises(ValueError, match=f"^stopping distance overflows at {re.escape(f'{speed:g}')} km/h$"):
+                stopping_distance(speed, cfg)
 
     def test_exact_safety_factor_scaling(self):
         cfg1 = AdvisoryConfig()
@@ -915,8 +940,8 @@ class TestTimelineJsonl:
     def test_non_finite_value_raises(self):
         cp = Checkpoint(0.0, GeoPoint(0, 0), Heading(0.0), 50.0)
         timeline = AdvisoryTimeline((AdvisoryDecision(cp, False, math.nan),), "c", 2.0)
-        # The whole message, with no value appended as Python 3.12's json does.
-        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant$"):
+        # json's own message; Python 3.12 and later append the value, so match its start.
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
             list(timeline_to_jsonl(timeline))
 
 

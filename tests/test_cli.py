@@ -145,11 +145,23 @@ class TestReplay:
         assert isinstance(result.exception, SystemExit)
 
     def test_infinite_stopping_distance_fails_cleanly(self, runner, scenario_files):
-        # The radius overflows to inf, which the JSONL timeline cannot carry.
+        # The radius overflows to inf, and stopping_distance refuses it before any output is written.
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         result = runner.invoke(main, ["replay", str(map_file), str(scenario_files / "drive.csv"), "--reaction-time", "1e308"])
         assert result.exit_code == 1
-        assert result.output == "Error: Out of range float values are not JSON compliant\n"
+        assert result.output == "Error: stopping distance overflows at 50 km/h\n"
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("flag", ["--reaction-time", "--safety-factor"])
+    def test_infinite_stopping_distance_fails_eval_and_sweep_as_replay(self, runner, scenario_files, command, flag):
+        # eval and sweep write no JSONL: they used to score every checkpoint as active, precision and recall 1.
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        inputs = [str(map_file), str(scenario_files / "drive.csv")]
+        replayed = runner.invoke(main, ["replay", *inputs, flag, "1e308"])
+        result = runner.invoke(main, [command, *inputs, str(scenario_files / "gt.json"), flag, "1e308"])
+        assert replayed.exit_code == result.exit_code == 1
+        assert result.output == replayed.output == "Error: stopping distance overflows at 50 km/h\n"
         assert isinstance(result.exception, SystemExit)
 
     def test_output_file(self, runner, scenario_files):

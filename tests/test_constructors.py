@@ -5,9 +5,10 @@ checks its arguments and then stores each field once through its slot. Each must
 raise what the dataclass-generated ``__init__`` plus the ``__post_init__`` below
 raises, and store the same values bit for bit. ``OldGeoPoint`` and ``OldHotspotNode``
 are those definitions, kept here as the oracle; ``OldGeoPoint`` states the coordinate
-rule: both ranges checked, and longitude stored as given but for 180 (stored as -180)
-and -0.0 (stored as 0.0). ``DetectionRecord`` is a plain slotted dataclass with a
-``__post_init__`` check, so it has no written-out constructor to compare.
+rule: both types (exact int or float) and both ranges checked, and longitude stored as
+given but for 180 (stored as -180) and -0.0 (stored as 0.0). ``DetectionRecord`` is a
+plain slotted dataclass with a ``__post_init__`` check, so it has no written-out
+constructor to compare.
 """
 
 import copy
@@ -31,6 +32,11 @@ class OldGeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
+        if not {type(self.lat), type(self.lon)} <= {int, float}:
+            raise ValueError(
+                "latitude and longitude must be int or float, "
+                f"got {type(self.lat).__name__} {self.lat!r}, {type(self.lon).__name__} {self.lon!r}"
+            )
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
@@ -87,8 +93,8 @@ _EDGES = [0.0, -0.0, 0, 5e-324, 90.0, -90.0, 90, 180.0, -180.0, 180, -180, 360.0
 # Longitudes the old wrap ``((lon + 180) % 360) - 180`` rounded, and the two neighbours of +-180 inside and out.
 _EDGES += [0.1, 12.3456789012345, 4.8e-228, 179.99999999999997, -180.00000000000003]
 _EDGES += [math.nan, -math.nan, math.inf, -math.inf]
-# Any float (NaN, +-inf and -0.0 included) or int, with the edges drawn often.
-numbers = st.one_of(st.sampled_from(_EDGES), st.floats(), st.integers())
+# Any float (NaN, +-inf and -0.0 included), int or bool, with the edges drawn often.
+numbers = st.one_of(st.sampled_from(_EDGES), st.floats(), st.integers(), st.booleans())
 positions = st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180))
 clips = st.text(max_size=3)
 any_clips = st.one_of(clips, st.integers(), st.none())

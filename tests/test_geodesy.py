@@ -2,6 +2,8 @@ import math
 import random
 import struct
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -17,6 +19,13 @@ from pedmap.geodesy import (
 )
 
 METER_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+
+
+class _Float64(float):
+    """A float subclass that prints the way a numpy ``float64`` does."""
+
+    def __repr__(self):
+        return f"np.float64({float(self)!r})"
 
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False, exclude_max=True)
@@ -55,6 +64,15 @@ class TestGeoPoint:
     def test_lon_out_of_range_rejected(self, lon):
         with pytest.raises(ValueError, match=rf"^longitude {lon} outside \[-180, 180\]$"):
             GeoPoint(0.0, lon)
+
+    @pytest.mark.parametrize(
+        "lat, lon",
+        [(True, 0.0), (0.0, False), (_Float64(1.5), 0.0), (0.0, _Float64(-2.0)), (Fraction(1, 2), 0), (0, Decimal("1")), ("1", 2)],
+    )
+    def test_only_exact_int_or_float_coordinates(self, lat, lon):
+        # A map writer prints each coordinate by repr, which for these is not a JSON number.
+        with pytest.raises(ValueError, match=r"^latitude and longitude must be int or float, got \w+ "):
+            GeoPoint(lat, lon)
 
     @given(lats, st.floats(min_value=-1000, max_value=1000, allow_nan=False))
     def test_lon_always_in_range(self, lat, lon):

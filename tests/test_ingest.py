@@ -740,6 +740,11 @@ class TestHotspotNode:
         with pytest.raises(ValueError, match="^position must be a GeoPoint, got None$"):  # checked first
             HotspotNode(None, 0, 2.5, 7)
 
+    def test_position_holds_only_coordinates_the_writers_print(self):
+        # This node used to construct, save_map wrote "lat": True, and load_map then failed with "Expecting value".
+        with pytest.raises(ValueError, match="^latitude and longitude must be int or float, got bool True, float 0.0$"):
+            HotspotNode(GeoPoint(True, 0.0), 1, 0, "a")
+
     def test_boolean_count_refused_through_build_map(self):
         # The record refuses it now, before build_map can make a node of it.
         with pytest.raises(ValueError, match=r"^timestamp_ms and pedestrian_count must be integers and clip_id a string, got 1000, True, 'a'$"):

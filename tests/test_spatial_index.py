@@ -380,9 +380,9 @@ class TestMakeBall:
         assert math.sqrt(dx * dx + dy * dy + dz * dz) == ball.radius
 
 
-def _reference_tree(tree):
+def _reference_tree(tree, leaf_size):
     """The tree the index-list build made, before each split carried its
-    points' coordinates: rebuilt from ``tree``'s arrays, it must equal ``tree``."""
+    points' coordinates: rebuilt from ``tree``'s arrays at ``leaf_size``, it must equal ``tree``."""
     xs, ys, zs = tree._xs, tree._ys, tree._zs
 
     def make_ball(indices):
@@ -419,7 +419,7 @@ def _reference_tree(tree):
     stack = [(root, root_indices, far_idx)]
     while stack:
         ball, indices, far_idx = stack.pop()
-        if len(indices) <= tree.leaf_size:
+        if len(indices) <= leaf_size:
             ball.indices = indices
             continue
         left_idx, right_idx = split(indices, far_idx)
@@ -469,12 +469,12 @@ class TestBuildMatchesIndexListBuild:
     @example([GeoPoint(0, 10), GeoPoint(0, -10), GeoPoint(0, 0), GeoPoint(5, 0)], 1)
     def test_same_tree(self, points, leaf_size):
         tree = build_index(points, leaf_size=leaf_size)
-        assert _dfs(tree._root) == _dfs(_reference_tree(tree))
+        assert _dfs(tree._root) == _dfs(_reference_tree(tree, leaf_size))
 
     def test_same_tree_on_5000_points(self):
         rng = random.Random(5000)
         tree = build_index(random_points(rng, 5000, extent=1.0))
-        assert _dfs(tree._root) == _dfs(_reference_tree(tree))
+        assert _dfs(tree._root) == _dfs(_reference_tree(tree, spatial_index.DEFAULT_LEAF_SIZE))
 
 
 @st.composite
