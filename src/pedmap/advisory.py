@@ -192,12 +192,15 @@ def stopping_distance(speed_kmh: float, cfg: AdvisoryConfig) -> float:
     if not speed_kmh >= 0:  # NaN too
         raise ValueError("speed must be >= 0")
     # AdvisoryConfig guarantees finite fields and friction + grade > 0, so only an overflow to inf is not finite.
-    s = cfg.safety_factor * (
-        0.278 * cfg.reaction_time * speed_kmh + speed_kmh**2 / (254.0 * (cfg.friction + cfg.grade))
-    )
-    if not isfinite(s):
-        raise ValueError(f"stopping distance overflows at {speed_kmh:g} km/h")
-    return s
+    try:
+        s = cfg.safety_factor * (
+            0.278 * cfg.reaction_time * speed_kmh + speed_kmh**2 / (254.0 * (cfg.friction + cfg.grade))
+        )
+        if isfinite(s):
+            return s
+    except OverflowError:  # ``**`` raises past about 1.3e154 km/h, where ``*`` would give inf
+        pass
+    raise ValueError(f"stopping distance overflows at {speed_kmh:g} km/h")
 
 
 # --- trace geometry ---------------------------------------------------------

@@ -10,14 +10,17 @@ plain node-list concatenation: repeated sightings of the same spot are the
 signal, so nothing is deduplicated.
 A map file holds the bytes of ``json.dump(map_to_dict(m), indent=2)``, written
 node by node; ``pedmap export``'s GeoJSON is written the same way, by the same writer.
+``parse_detection_log``, ``build_map``, ``load_map`` and ``HotspotMap.build_spatial_index`` run with the cyclic
+garbage collector paused: every object they make is acyclic, so reference counting alone frees whatever they drop.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -32,6 +35,22 @@ MAP_SCHEMA_VERSION = 1
 TRAINING_HEADER = ["timestamp", "latitude", "longitude", "pedestrian_count", "clip_id"]
 
 CountMode = Literal["max", "sum"]
+
+
+def _without_gc(fn):
+    """``fn`` run with the cyclic garbage collector paused, and the collector then left on or off as it was found."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class ParseError(ValueError):
@@ -100,6 +119,7 @@ class HotspotMap:
     def index(self) -> BallTree:
         return self.build_spatial_index()
 
+    @_without_gc
     def build_spatial_index(self) -> BallTree:  # bench/pipeline.py times the index build by wrapping this method
         return BallTree([n.position for n in self.nodes])
 
@@ -151,6 +171,7 @@ def _read_rows(source: Iterable[str], header: list[str]) -> Iterator[tuple[int, 
         raise ParseError(str(exc), line + 1) from None
 
 
+@_without_gc
 def parse_detection_log(source: Iterable[str]) -> list[DetectionRecord]:
     """Parse training CSV text into records, in file order (``build_map`` orders them).
 
@@ -185,6 +206,7 @@ def _median(values: list[float]) -> float:
     return values[mid] if odd else (values[mid - 1] + values[mid]) / 2
 
 
+@_without_gc
 def build_map(records: list[DetectionRecord], count_mode: CountMode = "max") -> HotspotMap:
     """Aggregate records into a hotspot map, one node per ``split_intervals`` bin
     in which a pedestrian was seen, ordered by clip then bin start.
@@ -292,6 +314,7 @@ def save_map(hotspot_map: HotspotMap, path: str) -> None:
         f.writelines(_document(hotspot_map.nodes, f'{{\n  "schema_version": {MAP_SCHEMA_VERSION},\n  "nodes": ', _NODE_FORMAT, "\n}"))
 
 
+@_without_gc
 def load_map(path: str) -> HotspotMap:
     with open(path, "r", encoding="utf-8") as f:
         return map_from_dict(json.load(f))

@@ -7,9 +7,12 @@ latitude, which keeps hand-computed expectations exact.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass
+
+import pytest
 
 from pedmap.advisory import DriveTrace, TraceFix
 from pedmap.evaluation import GroundTruthWindow
@@ -17,6 +20,15 @@ from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint
 from pedmap.ingest import HotspotMap, HotspotNode
 
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail the test that leaves the cyclic garbage collector disabled (a missed ``gc.enable()``), not the ones after it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 def wrap_lon(lon: float) -> float:

@@ -130,7 +130,7 @@ class TestStoppingDistance:
 
     @settings(max_examples=500)
     @given(
-        speed=st.one_of(st.floats(0, 100), st.floats(0, 1e12)),
+        speed=st.one_of(st.floats(0, 100), st.floats(0, 1e12), st.floats(0, allow_infinity=False)),
         reaction_time=st.floats(0, exclude_min=True, allow_infinity=False),
         friction=st.floats(allow_nan=False, allow_infinity=False),
         grade=st.floats(allow_nan=False, allow_infinity=False),
@@ -140,11 +140,17 @@ class TestStoppingDistance:
     @example(speed=50.0, reaction_time=2.5, friction=0.7, grade=0.0, safety_factor=1e308)
     @example(speed=50.0, reaction_time=2.5, friction=5e-324, grade=0.0, safety_factor=1.0)
     @example(speed=0.0, reaction_time=1e308, friction=1e308, grade=1e308, safety_factor=1e308)
+    @example(speed=1e200, reaction_time=2.5, friction=0.7, grade=0.0, safety_factor=1.0)
+    @example(speed=sys.float_info.max, reaction_time=2.5, friction=0.7, grade=0.0, safety_factor=1.0)
     def test_formula_or_overflow_error(self, speed, reaction_time, friction, grade, safety_factor):
         # Where the formula is finite the result has its bits; where it overflows to inf, the call raises.
+        # Past about 1.3e154 km/h ``speed**2`` raises OverflowError, where ``speed * speed`` would give inf.
         assume(friction + grade > 0)
         cfg = AdvisoryConfig(reaction_time=reaction_time, friction=friction, grade=grade, safety_factor=safety_factor)
-        expected = safety_factor * (0.278 * reaction_time * speed + speed**2 / (254.0 * (friction + grade)))
+        try:
+            expected = safety_factor * (0.278 * reaction_time * speed + speed**2 / (254.0 * (friction + grade)))
+        except OverflowError:
+            expected = math.inf
         if math.isfinite(expected):
             assert stopping_distance(speed, cfg).hex() == expected.hex()
         else:

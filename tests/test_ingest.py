@@ -1,11 +1,15 @@
 import copy
+import gc
 import io
 import json
 import math
+import os
 import pickle
 import random
 import statistics
 import struct
+import subprocess
+import sys
 import tempfile
 from operator import attrgetter
 from pathlib import Path
@@ -24,6 +28,7 @@ from pedmap.ingest import (
     _read_rows,
     build_map,
     geojson_text,
+    load_map,
     map_from_dict,
     map_from_geojson,
     map_to_dict,
@@ -787,3 +792,113 @@ class TestDetectionRecord:
         # The second record is refused when it is built, before any sort.
         with pytest.raises(ValueError, match=rf"^timestamp_ms and pedestrian_count must be integers and clip_id a string, got {timestamp_ms!r}, 1, {clip_id!r}$"):
             build_map([rec(1000, 1, 2, 1, "a"), rec(timestamp_ms, 1, 2, 1, clip_id)])
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def golden_records(name="train_a.csv"):
+    with open(GOLDEN_INPUTS / name, encoding="utf-8", newline="") as f:
+        return parse_detection_log(f)
+
+
+def lines_then(text, exc):
+    """``text``'s lines, then ``exc`` raised where the next line would be read."""
+    yield from io.StringIO(text)
+    raise exc
+
+
+# Per builder that runs with the collector paused: what it calls through ``ingest`` (to look inside the pause),
+# a call on golden-size input, and calls that fail part-way through their input, with the error each raises.
+PAUSED = {
+    "parse_detection_log": (
+        "_read_rows",
+        golden_records,
+        [
+            (lambda: golden_records("bad_train.csv"), ParseError),
+            (lambda: parse_detection_log(lines_then(HEADER + "1000,0.0,0.0,1,a\n", KeyboardInterrupt)), KeyboardInterrupt),
+        ],
+    ),
+    "build_map": (
+        "split_intervals",
+        lambda: build_map(golden_records()),
+        [(lambda: build_map(golden_records() + one_bin([(0.0, 179.0), (0.0, -1.0)], [1, 1], clip="zz")), ValueError)],
+    ),
+    "load_map": (
+        "map_from_dict",
+        lambda: load_map(GOLDEN_INPUTS / "map.json"),
+        [(lambda: load_map(GOLDEN_INPUTS / "bad_map.json"), ValueError)],
+    ),
+    "build_spatial_index": (
+        "BallTree",
+        lambda: load_map(GOLDEN_INPUTS / "map.json").build_spatial_index(),
+        [(lambda: HotspotMap(load_map(GOLDEN_INPUTS / "map.json").nodes + [None]).build_spatial_index(), AttributeError)],
+    ),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """Each test runs with the collector on and with it already off; it is back on afterwards."""
+    if not request.param:
+        gc.disable()
+    try:
+        yield request.param
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("name", PAUSED)
+    def test_paused_inside(self, name, monkeypatch):
+        callee, good, _ = PAUSED[name]
+        seen = []
+        original = getattr(ingest, callee)
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, callee, spy)
+        good()
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", PAUSED)
+    def test_left_as_found_after_success(self, name, collector):
+        PAUSED[name][1]()
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("name", PAUSED)
+    def test_left_as_found_after_an_error_part_way(self, name, collector):
+        for fail, error in PAUSED[name][2]:
+            with pytest.raises(error):
+                fail()
+            assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("name", PAUSED)
+    def test_makes_no_reference_cycles(self, name):
+        # What makes the pause safe: on golden-size input the builder leaves nothing for a collection to free,
+        # its result included, which is dropped before the count.
+        good = PAUSED[name][1]
+        good()  # imports and caches filled outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            good()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_conftest_fails_a_test_that_leaves_the_collector_disabled(tmp_path):
+    # The autouse fixture in conftest.py turns a missed ``gc.enable()`` into this test's error, not a later test's.
+    (tmp_path / "test_leak.py").write_text("import gc\n\ndef test_leaks():\n    gc.disable()\n", encoding="utf-8")
+    tests_dir = str(Path(__file__).parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest", str(tmp_path / "test_leak.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([tests_dir, str(Path(tests_dir).parent / "src")])},
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "the test left the cyclic garbage collector disabled" in run.stdout
