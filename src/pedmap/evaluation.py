@@ -162,13 +162,19 @@ def _fmt_metric(value: Optional[float]) -> str:
     return UNDEFINED_MARKER if value is None else f"{value:.6g}"
 
 
+def _fmt_k(k: float) -> str:
+    """K to 6 significant digits when that reads back as K, else in full, so no two rows share a label."""
+    text = f"{k:.6g}"
+    return text if float(text) == k else repr(k)
+
+
 def report_to_tsv(report: EvalReport) -> str:
     """Tab-separated report; an undefined metric renders as an em dash."""
     lines = ["K_m\tprecision\trecall\tcorrect\tfalse\tmissed"]
     for row in report.rows:
         c = row.counts
         lines.append(
-            f"{row.sampling_distance:.6g}\t{_fmt_metric(row.precision)}\t{_fmt_metric(row.recall)}"
+            f"{_fmt_k(row.sampling_distance)}\t{_fmt_metric(row.precision)}\t{_fmt_metric(row.recall)}"
             f"\t{c.correct}\t{c.false_advisories}\t{c.missed}"
         )
     return "\n".join(lines) + "\n"
@@ -186,7 +192,7 @@ def report_to_markdown(report: EvalReport) -> str:
     ]
     for row in report.rows:
         p, r = ("0*" if v is None else f"{v:.6g}" for v in (row.precision, row.recall))
-        lines.append(f"| {row.sampling_distance:.6g} | {p} | {r} |")
+        lines.append(f"| {_fmt_k(row.sampling_distance)} | {p} | {r} |")
     out = "\n".join(lines) + "\n"
     if any(None in (row.precision, row.recall) for row in report.rows):
         out += "\n\\* no advisories issued; metric undefined\n"

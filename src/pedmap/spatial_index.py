@@ -31,6 +31,27 @@ point whose ``t·q`` is. That slack is about 1e4 times the bearing's rounding
 at any distance, so no point the bearing puts within 90 degrees is skipped.
 Nor is any point within 6 µm of ``p``, where ``|t·q|`` is below the slack.
 
+A run of nearby queries can share the top of the traversal (the dual-tree
+pruning of Gray & Moore 2001, "'N-body' problems in statistical learning",
+for one query ball). ``BallTree.around`` bounds a block of points by a ball
+of center ``b`` and radius ``ρ`` and keeps a cover: tree balls that hold
+every point within ``radius_m`` of that ball. A ball of center ``c`` and
+radius ``r`` is left out when ``|b - c| - r`` exceeds ``radius_m / R + ρ +
+2·_CHORD_SLACK``. For a query ``q`` with ``|q - b| <= ρ`` the triangle
+inequality gives ``|q - c| >= |b - c| - ρ``, one step more than a query's own
+bound takes. That step rounds as the others do, at around 1e-15, so a second
+slack covers it: a ball left out has a query bound past ``radius_m`` for
+every such ``q``, and the traversal from the root would not have yielded
+any of its points either. The test that places ``q`` in the ball uses the
+same ``math.dist`` as ``ρ`` does, so each point of the block passes it.
+The traversal bounds and heading-tests its start balls, the root or the
+cover's, as it does children, and hits pop in key order whatever the start,
+so both starts yield the same hits. (With a heading, a cover ball can pass
+the half-space test where an ancestor failed it; its points then meet their
+own test, which only a point within about 1e-16 of the ``-_CHORD_SLACK``
+line could pass. Its bearing is past 90 degrees by far more than the
+bearing's rounding, so an advisory threshold of 90 or less rejects it.)
+
 Construction splits a node by the farthest-point-pair heuristic: A is the
 point farthest from the node's center (the radius scan finds it), B the point
 farthest from A, and each point joins the nearer of the two by dot products,
@@ -42,7 +63,9 @@ one per coordinate, that queries read, so the build copies none of them.
 from __future__ import annotations
 
 from array import array
+from copy import copy
 from heapq import heappop, heappush
+from itertools import count
 from math import cos, dist, hypot, inf, radians, sin, sqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -55,6 +78,11 @@ DEFAULT_LEAF_SIZE = 16
 # keeps the bounds below the haversine distance of every point they cover, the
 # antipode included, so pruning and heap order stay exact.
 _CHORD_SLACK = 1e-12
+
+# The most balls a view's cover keeps. Every query the cover answers bounds each of them: with no cap,
+# replays of wide blocks (K = 50-200 m, or 20x stopping distances) ran 2.8-6x slower than from the root.
+# Against caps of 8 and 32, 16 was as fast or faster on the bench workloads' replays and sweeps.
+_COVER_BALLS = 16
 
 
 def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
@@ -94,6 +122,9 @@ class BallTree:
     Built once, then safe for unlimited concurrent queries. An empty point
     list yields a tree of one empty leaf, whose queries return no neighbors.
     """
+
+    # A plain tree answers every query from its root; ``around`` gives a view a cover and a reach.
+    _reach = -inf
 
     def __init__(self, points: Sequence[GeoPoint], leaf_size: int = DEFAULT_LEAF_SIZE):
         if not leaf_size >= 1:
@@ -167,6 +198,45 @@ class BallTree:
             stack.append((ball.right, right, right_a))
         return root
 
+    def around(self, points: Sequence[GeoPoint], radius_m: float) -> BallTree:
+        """A view of this tree for queries near ``points``, sharing its arrays and answering every query as it does.
+
+        The view holds a cover of at most ``_COVER_BALLS`` balls under which
+        lies every point within ``radius_m`` of the points' bounding ball (see
+        the module docstring). A query inside that ball, to a radius of at most
+        ``radius_m``, starts from the cover's balls instead of the root, so a run
+        of nearby queries shares one descent through the top of the tree. Any
+        other query starts from the root. ``points`` must not be empty.
+        """
+        if not points:
+            raise ValueError("around needs at least one point")
+        vectors = [_unit_vector(p) for p in points]
+        center = self._make_ball(*zip(*vectors))[0].center
+        # The same ``dist`` that places a query inside the ball, so each of ``points`` is placed inside.
+        rho = max(dist(center, v) for v in vectors)
+        # A ball is in reach when the chord from ``center`` to its center, less its radius, is at most this.
+        limit = radius_m / EARTH_RADIUS_M + rho + 2 * _CHORD_SLACK
+        # Open the widest inner ball, keeping its children in reach, while the cover stays within the cap.
+        leaves, inner = [], []  # the cover: its leaves, and a heap of its inner balls as (-radius, seq, ball)
+        seq, kept = count(), [ball for ball in (self._root,) if dist(center, ball.center) - ball.radius <= limit]
+        while True:
+            for ball in kept:
+                if ball.indices is None:
+                    heappush(inner, (-ball.radius, next(seq), ball))
+                else:
+                    leaves.append(ball)
+            if not inner:
+                break
+            widest = inner[0][2]
+            kept = [ball for ball in (widest.left, widest.right) if dist(center, ball.center) - ball.radius <= limit]
+            if len(leaves) + len(inner) - 1 + len(kept) > _COVER_BALLS:
+                break
+            heappop(inner)
+        view = copy(self)
+        view._cover = tuple(leaves + [ball for _, _, ball in inner])
+        view._cover_center, view._cover_radius, view._reach = center, rho, radius_m
+        return view
+
     def iter_within(self, query: GeoPoint, radius_m: float, heading: Optional[Heading] = None) -> Iterator[NeighborResult]:
         """Lazily yield the points within ``radius_m`` meters in ``(distance, node_index)`` order.
 
@@ -174,6 +244,10 @@ class BallTree:
         balls of them at a time, by the half-space test the module docstring
         derives. Every point within 90 degrees of the heading, and every point
         within 6 µm of ``query``, is still yielded, in the same order.
+
+        On a view from ``around``, a query inside the view's ball with a radius
+        of at most its reach starts from the cover's balls; any other query
+        starts from the root. Either way the hits are the same.
 
         A negative radius raises here, not at the first ``next()``; a NaN radius yields nothing.
         """
@@ -189,33 +263,39 @@ class BallTree:
         # With no heading t is zero and the half-space tests never fire.
         tx, ty, tz = _tangent(query, heading) if heading is not None else (0.0, 0.0, 0.0)
         behind = -_CHORD_SLACK
-        # The root's own bound is never read (an empty tree's is a placeholder); its children are bounded when it pops.
-        heap: list[tuple[float, int, int, Optional[_Ball]]] = [(-inf, 0, 0, self._root)]
+        # A query the cover answers starts from its balls; any other starts from the root.
+        balls = self._cover if radius_m <= self._reach and dist(q, self._cover_center) <= self._cover_radius else (self._root,)
+        heap: list[tuple[float, int, int, Optional[_Ball]]] = []
         seq = 0
-        while heap:
-            key, kind, i, ball = heappop(heap)
-            if kind == 2:
-                yield NeighborResult(i, key)
-            elif kind:
-                if (d := haversine_distance(query, pts[i])) <= radius_m:
-                    heappush(heap, (d, 2, i, None))
-            elif ball.indices is None:
-                for child in (ball.left, ball.right):
-                    cx, cy, cz = child.center
-                    if tx * cx + ty * cy + tz * cz + child.radius < behind:
-                        continue
-                    if (lb := EARTH_RADIUS_M * (dist(q, child.center) - child.radius - _CHORD_SLACK)) <= radius_m:
-                        seq += 1
-                        heappush(heap, (lb, 0, seq, child))
+        while True:
+            for child in balls:
+                cx, cy, cz = child.center
+                if tx * cx + ty * cy + tz * cz + child.radius < behind:
+                    continue
+                if (lb := EARTH_RADIUS_M * (dist(q, child.center) - child.radius - _CHORD_SLACK)) <= radius_m:
+                    seq += 1
+                    heappush(heap, (lb, 0, seq, child))
+            while heap:
+                key, kind, i, ball = heappop(heap)
+                if kind == 2:
+                    yield NeighborResult(i, key)
+                elif kind:
+                    if (d := haversine_distance(query, pts[i])) <= radius_m:
+                        heappush(heap, (d, 2, i, None))
+                elif ball.indices is None:
+                    balls = ball.left, ball.right
+                    break
+                else:
+                    for i in ball.indices:
+                        x, y, z = xs[i], ys[i], zs[i]
+                        if tx * x + ty * y + tz * z < behind:
+                            continue
+                        dx, dy, dz = qx - x, qy - y, qz - z
+                        # The same bound as a ball's, of radius 0; refined to the haversine distance when it pops.
+                        if (lb := EARTH_RADIUS_M * (sqrt(dx * dx + dy * dy + dz * dz) - _CHORD_SLACK)) <= radius_m:
+                            heappush(heap, (lb, 1, i, None))
             else:
-                for i in ball.indices:
-                    x, y, z = xs[i], ys[i], zs[i]
-                    if tx * x + ty * y + tz * z < behind:
-                        continue
-                    dx, dy, dz = qx - x, qy - y, qz - z
-                    # The same bound as a ball's, of radius 0; refined to the haversine distance when it pops.
-                    if (lb := EARTH_RADIUS_M * (sqrt(dx * dx + dy * dy + dz * dz) - _CHORD_SLACK)) <= radius_m:
-                        heappush(heap, (lb, 1, i, None))
+                return
 
     def nearest(self, query: GeoPoint) -> Optional[NeighborResult]:
         """The indexed point minimizing haversine distance to ``query``.

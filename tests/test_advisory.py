@@ -921,6 +921,110 @@ class TestSharedDecisions:
         assert decided_arcs == grids[0]
 
 
+def _long_drive(rng, start, bearing, stop_and_go=False):
+    """About 1.4 km at 1 Hz in six 15 s legs, each at its own speed and turning
+    up to 40 degrees; with ``stop_and_go`` every other leg is a stop."""
+    t, position, fixes = 0, start, [TraceFix(0, start)]
+    for leg in range(6):
+        speed = 0.0 if stop_and_go and leg % 2 else rng.uniform(20.0, 110.0)
+        bearing += rng.uniform(-40.0, 40.0)
+        for _ in range(15):
+            t += 1000
+            position = destination(position, bearing, speed / KMH_PER_MPS)
+            fixes.append(TraceFix(t, position))
+    return DriveTrace(tuple(fixes), "c")
+
+
+def _map_along(rng, trace, n, leaf_size):
+    """``n`` nodes within 80 m of the drive's fixes, counts 1 to 4, indexed with ``leaf_size``."""
+    nodes = [
+        make_node(destination(rng.choice(trace.fixes).position, rng.uniform(0, 360), rng.uniform(0, 80)), rng.randint(1, 4))
+        for _ in range(n)
+    ]
+    hotspot_map = HotspotMap(nodes)
+    hotspot_map.index = spatial_index.BallTree([node.position for node in nodes], leaf_size=leaf_size)
+    return hotspot_map
+
+
+# (start, bearing, stop-and-go, config): a site, a stop-and-go drive, drives across ±180° and near a pole,
+# and configs that change what a block's view must cover or what its queries may skip.
+_BLOCKED_CASES = {
+    "defaults": (GeoPoint(32.8, -117.3), 30.0, False, {}),
+    "min_count": (GeoPoint(32.8, -117.3), 30.0, False, {"min_count": 3}),
+    "heading_threshold": (GeoPoint(32.8, -117.3), 30.0, False, {"heading_threshold": 135.0}),
+    "stop_and_go": (GeoPoint(32.8, -117.3), 30.0, True, {}),
+    "antimeridian": (GeoPoint(-20.0, 179.995), 90.0, False, {}),
+    "pole": (GeoPoint(89.995, 0.0), 0.0, False, {}),
+    "safety_factor": (GeoPoint(32.8, -117.3), 30.0, False, {"safety_factor": 20.0}),
+    "k_200": (GeoPoint(32.8, -117.3), 30.0, True, {"sampling_distance": 200.0}),
+}
+
+
+class TestBlockedReplay:
+    """``run_replay`` decides blocks of checkpoints from views of the index; it
+    must give the decisions of ``evaluate_checkpoint`` on the map itself."""
+
+    @pytest.mark.parametrize("leaf_size", [2, 16])
+    @pytest.mark.parametrize("case", list(_BLOCKED_CASES))
+    def test_replay_and_sweep_match_decisions_on_the_map(self, case, leaf_size):
+        start, bearing, stop_and_go, fields = _BLOCKED_CASES[case]
+        rng = random.Random(case)
+        trace = _long_drive(rng, start, bearing, stop_and_go)
+        hotspot_map = _map_along(rng, trace, 400, leaf_size)
+        cfg = AdvisoryConfig(**fields)
+        expected = tuple(evaluate_checkpoint(cp, hotspot_map, cfg) for cp in checkpoints(trace, cfg.sampling_distance))
+        assert any(d.active for d in expected)
+        assert run_replay(trace, hotspot_map, cfg).decisions == expected
+        windows = [GroundTruthWindow("c", 100.0, 300.0), GroundTruthWindow("c", 500.0, 700.0)]
+        ks = [2.0, 3.0, 5.0, 200.0]
+        assert sweep_sampling_distance(trace, hotspot_map, cfg, ks, windows) == sweep_by_replays(trace, hotspot_map, cfg, ks, windows)
+
+    def test_crosses_the_antimeridian(self):
+        trace = _long_drive(random.Random("antimeridian"), *_BLOCKED_CASES["antimeridian"][:3])
+        assert {math.copysign(1.0, fix.position.lon) for fix in trace.fixes} == {-1.0, 1.0}
+
+    def test_every_checkpoint_of_a_block_starts_from_its_cover(self, monkeypatch):
+        # Building a block's cover bounds the root once; a checkpoint's query
+        # that fell back to the root would bound it again.
+        rng = random.Random(3)
+        trace = _long_drive(rng, GeoPoint(32.8, -117.3), 30.0)
+        hotspot_map = _map_along(rng, trace, 2000, 16)
+        root = hotspot_map.index._root
+        covers, root_bounds = [], 0
+        real_dist, real_around = spatial_index.dist, spatial_index.BallTree.around
+
+        def counting(a, b):
+            nonlocal root_bounds
+            root_bounds += b is root.center
+            return real_dist(a, b)
+
+        def around(tree, points, radius_m):
+            view = real_around(tree, points, radius_m)
+            covers.append(view._cover)
+            return view
+
+        monkeypatch.setattr(spatial_index, "dist", counting)
+        monkeypatch.setattr(spatial_index.BallTree, "around", around)
+        timeline = run_replay(trace, hotspot_map, AdvisoryConfig())
+        assert len(covers) == math.ceil(len(timeline.decisions) / advisory._BLOCK) > 1
+        assert all(1 < len(cover) <= spatial_index._COVER_BALLS and root not in cover for cover in covers)
+        assert root_bounds == len(covers)
+
+    def test_first_overflow_in_a_block_raises_not_the_largest(self):
+        # One block holds checkpoints at 180,000 km/h and then 360,000 km/h,
+        # and at this safety factor both stopping distances overflow.
+        start = GeoPoint(0, 0)
+        arcs_ms = [(0.0, 0), (10.0, 1000), (60.0, 1001), (160.0, 1002)]
+        trace = DriveTrace(tuple(TraceFix(ms, offset(start, north_m=arc)) for arc, ms in arcs_ms), "c")
+        cfg = AdvisoryConfig(safety_factor=1e305, sampling_distance=10.0)
+        speeds = [cp.speed for cp in checkpoints(trace, 10.0)]
+        assert len(speeds) <= advisory._BLOCK and max(speeds) == pytest.approx(360_000)
+        with pytest.raises(ValueError, match="overflows"):
+            stopping_distance(max(speeds), cfg)
+        with pytest.raises(ValueError, match=r"^stopping distance overflows at 180000 km/h$"):
+            run_replay(trace, map_of(make_node(start)), cfg)
+
+
 class TestTimelineJsonl:
     def test_record_shape(self):
         trace, hotspot_map = TestRunReplay().single_hotspot_setup()

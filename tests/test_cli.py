@@ -226,6 +226,16 @@ class TestEvalAndSweep:
         assert len(lines) == 5
         assert [line.split("\t")[0] for line in lines[1:]] == ["2", "3", "4", "5"]
 
+    @pytest.mark.parametrize("flags", [[], ["--markdown"]], ids=["tsv", "markdown"])
+    def test_ks_that_six_digits_merge_keep_their_labels(self, runner, scenario_files, flags):
+        map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
+        inputs = [str(map_file), str(scenario_files / "drive.csv"), str(scenario_files / "gt.json")]
+        result = runner.invoke(main, ["sweep", *inputs, "--ks", "2.0000001,2.0000002,3", *flags])
+        assert result.exit_code == 0, result.output
+        rows = result.output.splitlines()[1:4] if not flags else result.output.splitlines()[2:5]
+        labels = [row.split("\t")[0] if not flags else row.split(" | ")[0].removeprefix("| ") for row in rows]
+        assert labels == ["2.0000001", "2.0000002", "3"]
+
     def test_single_k(self, runner, scenario_files):
         map_file = build_map_file(runner, scenario_files, scenario_files / "train.csv")
         result = runner.invoke(

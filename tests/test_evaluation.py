@@ -10,6 +10,8 @@ from pedmap import advisory, evaluation
 from pedmap.advisory import AdvisoryConfig, AdvisoryDecision, AdvisoryTimeline, Checkpoint, Transition, run_replay
 from pedmap.evaluation import (
     EvalCounts,
+    EvalReport,
+    EvalRow,
     GroundTruthWindow,
     load_ground_truth,
     match_advisories,
@@ -329,3 +331,14 @@ class TestReportRendering:
         text = report_to_markdown(report)
         assert "| 2 | 0* | 0 |" in text
         assert "undefined" in text
+
+    def test_k_labels_read_back_as_their_k(self):
+        # ``.6g`` prints 2.0000001 and 2.0000002 both as 2: a K that its six
+        # digits do not read back as is printed in full, and no other changes.
+        ks = [0.1, 1 / 3, 2.0, 2.0000001, 2.0000002, 2.5, 1e6, 1234567.0]
+        report = EvalReport(tuple(EvalRow(k, 1.0, 1.0, EvalCounts(1, 0, 0)) for k in ks))
+        expected = ["0.1", "0.3333333333333333", "2", "2.0000001", "2.0000002", "2.5", "1e+06", "1234567.0"]
+        tsv = [line.split("\t")[0] for line in report_to_tsv(report).splitlines()[1:]]
+        markdown = [line.split(" | ")[0].removeprefix("| ") for line in report_to_markdown(report).splitlines()[2:]]
+        assert tsv == markdown == expected
+        assert [float(label) for label in tsv] == ks

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import destination, wrap_lon
 from pedmap import spatial_index
 from pedmap.advisory import COINCIDENT_M
-from pedmap.geodesy import EARTH_RADIUS_M, GeoPoint, Heading, angular_separation, haversine_distance, initial_bearing
+from pedmap.geodesy import (
+    EARTH_RADIUS_M,
+    GeoPoint,
+    Heading,
+    angular_separation,
+    haversine_distance,
+    initial_bearing,
+    interpolate_along,
+)
 from pedmap.spatial_index import _unit_vector, build_index, nearest_brute_force
 
 
@@ -198,7 +206,8 @@ class TestWithinRadius:
     def test_point_in_the_chord_band_past_radius_refined_away(self):
         # R times a chord falls short of its arc by about d³/24R², 128 km at
         # 5,000 km: a point 100 m past that radius is pushed as a candidate,
-        # keyed at most the radius, and its exact distance rules it out.
+        # keyed at most the radius, and its exact distance rules it out. The
+        # root, a leaf here, is bounded and pushed first, as any ball is.
         query, radius = GeoPoint(0, 0), 5_000_000.0
         point = GeoPoint(math.degrees((radius + 100.0) / EARTH_RADIUS_M), 0.0)
         pushed = []
@@ -209,8 +218,8 @@ class TestWithinRadius:
 
         with mock.patch.object(spatial_index, "heappush", recording):
             assert build_index([point]).within_radius(query, radius) == []
-        assert [(kind, i) for _, kind, i, _ in pushed] == [(1, 0)]
-        assert pushed[0][0] <= radius < haversine_distance(query, point)
+        assert [(kind, i) for _, kind, i, _ in pushed] == [(0, 1), (1, 0)]
+        assert pushed[0][0] <= pushed[1][0] <= radius < haversine_distance(query, point)
 
     def test_set_equality_with_brute_force(self):
         rng = random.Random(123)
@@ -311,7 +320,7 @@ class TestGlobalQueries:
     @settings(max_examples=300, deadline=None)
     @given(_tree_and_global_query(), st.data())
     def test_ball_key_never_exceeds_member_distance(self, case, data):
-        # An unbounded search pushes every ball but the root and every point as a
+        # An unbounded search pushes every ball, the root included, and every point as a
         # candidate; a search to a drawn radius, up to past the antipode, some of
         # them. A ball's key must not exceed the haversine distance of any point
         # below it, nor a candidate's (kind 1) its point's, nor either the radius;
@@ -543,3 +552,112 @@ class TestQueryCost:
             tree.nearest(q)
         avg = calls / len(queries)
         assert avg < n / 4, f"average {avg} haversine evals per query on {n} points"
+
+
+# Anchors for views: a plain site, the antimeridian and both poles.
+_anchors = st.sampled_from([GeoPoint(32.8, -117.3), GeoPoint(0.0, 179.9995), GeoPoint(89.9995, 40.0), GeoPoint(-89.9995, -10.0)])
+
+
+@st.composite
+def _view_case(draw):
+    """A tree (possibly empty, duplicates common) around an anchor and anywhere, a
+    view around a few points near the anchor or on tree points, to a reach
+    from 0 to past the antipode, and a query at, between or outside those
+    points, to a radius at most the reach or above it, with or without a heading."""
+    anchor = draw(_anchors)
+    near = st.builds(lambda b, d: destination(anchor, b, d), st.floats(0, 360), st.floats(0, 300))
+    pool = draw(st.lists(st.one_of(near, _anywhere), min_size=1, max_size=12))
+    # Long lists too, so that a wide reach fills the cover to the cap.
+    points = draw(st.one_of(st.lists(st.sampled_from(pool), max_size=120), st.lists(st.sampled_from(pool), min_size=80, max_size=150)))
+    tree = build_index(points, leaf_size=draw(st.integers(1, 4)))
+    block = draw(st.lists(st.one_of(near, st.sampled_from(pool)), min_size=1, max_size=8))
+    reach = draw(st.one_of(st.just(0.0), st.floats(0, 500), st.floats(0, 2.1e7), st.just(math.inf)))
+    query = draw(
+        st.one_of(
+            st.sampled_from(block),
+            st.builds(interpolate_along, st.sampled_from(block), st.sampled_from(block), st.floats(0, 1)),
+            near,
+            _anywhere,
+        )
+    )
+    below = min(reach, draw(st.floats(0, 2.1e7)))
+    radius = draw(st.sampled_from([reach, below, 1.5 * reach + 1.0]))
+    heading = draw(st.one_of(st.none(), st.floats(0, 360, exclude_max=True).map(Heading)))
+    return points, tree, block, reach, query, radius, heading
+
+
+def _covered(view):
+    """The point indices under the view's cover balls."""
+    members = {id(ball): indices for ball, indices in collect_balls(view)}
+    return {i for ball in view._cover for i in members[id(ball)]}
+
+
+class TestAround:
+    @settings(max_examples=400, deadline=None)
+    @given(_view_case())
+    def test_view_yields_what_the_tree_yields(self, case):
+        points, tree, block, reach, query, radius, heading = case
+        view = tree.around(block, reach)
+        assert (view._root, view._xs, view._points) == (tree._root, tree._xs, tree._points)
+        assert len(view._cover) <= spatial_index._COVER_BALLS
+        assert list(view.iter_within(query, radius, heading)) == list(tree.iter_within(query, radius, heading))
+        # The cover holds every point within the reach of a block point (so of the block's ball).
+        near_block = {i for i, p in enumerate(points) if min(haversine_distance(b, p) for b in block) <= reach}
+        assert near_block <= _covered(view)
+
+    def test_empty_tree(self):
+        view = build_index([]).around([GeoPoint(0, 0)], 100.0)
+        assert list(view.iter_within(GeoPoint(0, 0), 100.0)) == [] and view.nearest(GeoPoint(0, 0)) is None
+
+    def test_nothing_in_reach_gives_an_empty_cover(self):
+        pts = random_points(random.Random(4), 200)
+        tree = build_index(pts, leaf_size=4)
+        view = tree.around([GeoPoint(0, 0), GeoPoint(0, 0.001)], 100.0)
+        assert view._cover == ()
+        assert list(view.iter_within(GeoPoint(0, 0.0005), 100.0)) == []
+        # Past the reach the query starts from the root and finds every point.
+        assert view.within_radius(GeoPoint(0, 0.0005), math.inf) == tree.within_radius(GeoPoint(0, 0.0005), math.inf)
+
+    def test_cover_stops_at_the_cap(self):
+        pts = random_points(random.Random(5), 3000)
+        tree = build_index(pts, leaf_size=4)
+        view = tree.around(pts[:3], math.inf)
+        assert len(view._cover) == spatial_index._COVER_BALLS
+        assert any(ball.indices is None for ball in view._cover)
+        assert _covered(view) == set(range(len(pts)))
+        assert view.within_radius(pts[0], 2000.0) == tree.within_radius(pts[0], 2000.0)
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            build_index([GeoPoint(0, 0)]).around([], 10.0)
+
+    def test_block_queries_start_from_the_cover(self, monkeypatch):
+        # Checkpoint-like queries 2 m apart, each to its own radius: every one
+        # bounds each cover ball and never the root; a query outside the
+        # block's ball, or past the reach, starts from the root.
+        rng = random.Random(8)
+        pts = random_points(rng, 5000, extent=0.02)
+        tree = build_index(pts)
+        start = GeoPoint(32.81, -117.29)
+        block = [destination(start, 30.0, 2.0 * i) for i in range(32)]
+        radii = [rng.uniform(5.0, 60.0) for _ in block]
+        view = tree.around(block, max(radii))
+        assert tree._root not in view._cover and len(view._cover) > 1
+        bounded = []
+        real = spatial_index.dist
+        monkeypatch.setattr(spatial_index, "dist", lambda a, b: bounded.append(b) or real(a, b))
+
+        def balls_bounded(query, radius):
+            bounded.clear()
+            hits = view.within_radius(query, radius)
+            centers = bounded[:]
+            assert hits == tree.within_radius(query, radius)
+            return centers
+
+        for query, radius in zip(block, radii):
+            centers = balls_bounded(query, radius)
+            assert not any(c is tree._root.center for c in centers)
+            assert all(any(c is ball.center for c in centers) for ball in view._cover)
+        far = destination(start, 210.0, 500.0)
+        for query, radius in ((far, 10.0), (block[0], 2 * max(radii))):
+            assert any(c is tree._root.center for c in balls_bounded(query, radius))
