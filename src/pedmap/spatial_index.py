@@ -32,25 +32,25 @@ at any distance, so no point the bearing puts within 90 degrees is skipped.
 Nor is any point within 6 µm of ``p``, where ``|t·q|`` is below the slack.
 
 A run of nearby queries can share the top of the traversal (the dual-tree
-pruning of Gray & Moore 2001, "'N-body' problems in statistical learning",
-for one query ball). ``BallTree.around`` bounds a block of points by a ball
-of center ``b`` and radius ``ρ`` and keeps a cover: tree balls that hold
-every point within ``radius_m`` of that ball. A ball of center ``c`` and
-radius ``r`` is left out when ``|b - c| - r`` exceeds ``radius_m / R + ρ +
-2·_CHORD_SLACK``. For a query ``q`` with ``|q - b| <= ρ`` the triangle
-inequality gives ``|q - c| >= |b - c| - ρ``, one step more than a query's own
-bound takes. That step rounds as the others do, at around 1e-15, so a second
-slack covers it: a ball left out has a query bound past ``radius_m`` for
-every such ``q``, and the traversal from the root would not have yielded
-any of its points either. The test that places ``q`` in the ball uses the
-same ``math.dist`` as ``ρ`` does, so each point of the block passes it.
-The traversal bounds and heading-tests its start balls, the root or the
-cover's, as it does children, and hits pop in key order whatever the start,
-so both starts yield the same hits. (With a heading, a cover ball can pass
-the half-space test where an ancestor failed it; its points then meet their
-own test, which only a point within about 1e-16 of the ``-_CHORD_SLACK``
-line could pass. Its bearing is past 90 degrees by far more than the
-bearing's rounding, so an advisory threshold of 90 or less rejects it.)
+pruning of Gray & Moore 2001, "'N-body' problems in statistical learning", for
+one query ball). ``BallTree.around`` bounds a block of points by a ball of
+center ``b`` and radius ``ρ`` and keeps a cover, opened a level at a time:
+tree balls that hold every point within ``radius_m`` of that ball. A ball of
+center ``c`` and radius ``r`` is left out when ``|b - c| - r`` exceeds
+``radius_m / R + ρ + 2·_CHORD_SLACK``. For a query ``q`` with ``|q - b| <= ρ``
+the triangle inequality gives ``|q - c| >= |b - c| - ρ``, one step more than a
+query's own bound takes. That step rounds as the others do, at around 1e-15,
+so a second slack covers it: a ball left out has a query bound past
+``radius_m`` for every such ``q``, and the traversal from the root would not
+have yielded any of its points either. The test that places ``q`` in the ball
+uses the same ``math.dist`` as ``ρ`` does, so each point of the block passes
+it. The traversal bounds and heading-tests its start balls, the root or the
+cover's, as it does children, and hits pop in key order whatever the start, so
+both starts yield the same hits. (With a heading, a cover ball can pass the
+half-space test where an ancestor failed it; its points then meet their own
+test, which only a point within about 1e-16 of the ``-_CHORD_SLACK`` line
+could pass. Its bearing is past 90 degrees by far more than the bearing's
+rounding, so an advisory threshold of 90 or less rejects it.)
 
 Construction splits a node by the farthest-point-pair heuristic: A is the
 point farthest from the node's center (the radius scan finds it), B the point
@@ -65,7 +65,6 @@ from __future__ import annotations
 from array import array
 from copy import copy
 from heapq import heappop, heappush
-from itertools import count
 from math import cos, dist, hypot, inf, radians, sin, sqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -79,9 +78,9 @@ DEFAULT_LEAF_SIZE = 16
 # antipode included, so pruning and heap order stay exact.
 _CHORD_SLACK = 1e-12
 
-# The most balls a view's cover keeps. Every query the cover answers bounds each of them: with no cap,
-# replays of wide blocks (K = 50-200 m, or 20x stopping distances) ran 2.8-6x slower than from the root.
-# Against caps of 8 and 32, 16 was as fast or faster on the bench workloads' replays and sweeps.
+# The most balls a view's cover keeps. Every query the cover answers bounds each of them: with no cap, replays of
+# wide blocks (K = 50-200 m, or 20x stopping distances) ran 2.8-6x slower than from the root. A cap of 32 ran 20x
+# stopping distances 1.05-1.13x slower than 16; one of 8 was within 6% of 16 either way on the bench workloads.
 _COVER_BALLS = 16
 
 
@@ -201,12 +200,13 @@ class BallTree:
     def around(self, points: Sequence[GeoPoint], radius_m: float) -> BallTree:
         """A view of this tree for queries near ``points``, sharing its arrays and answering every query as it does.
 
-        The view holds a cover of at most ``_COVER_BALLS`` balls under which
-        lies every point within ``radius_m`` of the points' bounding ball (see
-        the module docstring). A query inside that ball, to a radius of at most
-        ``radius_m``, starts from the cover's balls instead of the root, so a run
-        of nearby queries shares one descent through the top of the tree. Any
-        other query starts from the root. ``points`` must not be empty.
+        The view holds a cover of at most ``_COVER_BALLS`` balls, opened a level
+        at a time, under which lies every point within ``radius_m`` of the
+        points' bounding ball (see the module docstring). A query inside that
+        ball, to a radius of at most ``radius_m``, starts from the cover's balls
+        instead of the root, so a run of nearby queries shares one descent
+        through the top of the tree. Any other query starts from the root.
+        ``points`` must not be empty.
         """
         if not points:
             raise ValueError("around needs at least one point")
@@ -216,24 +216,16 @@ class BallTree:
         rho = max(dist(center, v) for v in vectors)
         # A ball is in reach when the chord from ``center`` to its center, less its radius, is at most this.
         limit = radius_m / EARTH_RADIUS_M + rho + 2 * _CHORD_SLACK
-        # Open the widest inner ball, keeping its children in reach, while the cover stays within the cap.
-        leaves, inner = [], []  # the cover: its leaves, and a heap of its inner balls as (-radius, seq, ball)
-        seq, kept = count(), [ball for ball in (self._root,) if dist(center, ball.center) - ball.radius <= limit]
+        # Open a level at a time, keeping the balls in reach, until the next level keeps too many or opens nothing.
+        cover, level = [], [self._root]
         while True:
-            for ball in kept:
-                if ball.indices is None:
-                    heappush(inner, (-ball.radius, next(seq), ball))
-                else:
-                    leaves.append(ball)
-            if not inner:
+            kept = [ball for ball in level if dist(center, ball.center) - ball.radius <= limit]
+            if len(kept) > _COVER_BALLS or kept == cover:
                 break
-            widest = inner[0][2]
-            kept = [ball for ball in (widest.left, widest.right) if dist(center, ball.center) - ball.radius <= limit]
-            if len(leaves) + len(inner) - 1 + len(kept) > _COVER_BALLS:
-                break
-            heappop(inner)
+            cover = kept
+            level = [child for ball in cover for child in ((ball,) if ball.indices is not None else (ball.left, ball.right))]
         view = copy(self)
-        view._cover = tuple(leaves + [ball for _, _, ball in inner])
+        view._cover = tuple(cover)
         view._cover_center, view._cover_radius, view._reach = center, rho, radius_m
         return view
 

@@ -485,15 +485,16 @@ class TestBuildMap:
             max_size=12,
         )
     )
+    @example([(0.0, 0.0), (0.0, -5e-324)])  # the median longitude rounds to -0.0, which GeoPoint stores as 0.0
     def test_bins_that_do_not_cross_the_antimeridian_keep_the_old_arithmetic(self, coords):
         # Keep the fixes less than 180 degrees east of the westmost, as stored: the bins the
-        # old component-wise median took. Their nodes keep its bits.
+        # old component-wise median took, passed through GeoPoint as a node's position is. Their nodes keep its bits.
         west = min(GeoPoint(lat, lon).lon for lat, lon in coords)
         records = one_bin([(lat, lon) for lat, lon in coords if GeoPoint(lat, lon).lon - west < 180.0], [1] * len(coords))
         (node,) = build_map(records).nodes
         lats, lons = [r.position.lat for r in records], [r.position.lon for r in records]
-        old = (statistics.median(lats), statistics.median(lons))
-        assert (struct_bits(node.position.lat), struct_bits(node.position.lon)) == tuple(map(struct_bits, old))
+        old = GeoPoint(statistics.median(lats), statistics.median(lons))
+        assert (struct_bits(node.position.lat), struct_bits(node.position.lon)) == (struct_bits(old.lat), struct_bits(old.lon))
 
     def test_bins_come_from_one_split_intervals_call(self, monkeypatch):
         calls = []

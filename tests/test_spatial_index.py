@@ -604,6 +604,16 @@ class TestAround:
         # The cover holds every point within the reach of a block point (so of the block's ball).
         near_block = {i for i, p in enumerate(points) if min(haversine_distance(b, p) for b in block) <= reach}
         assert near_block <= _covered(view)
+        # The cover is opened as deep as the cap allows: every ball is in reach, and either none is inner
+        # or the next level (leaves staying, inner balls giving way to their children) keeps too many.
+        limit = reach / EARTH_RADIUS_M + view._cover_radius + 2 * spatial_index._CHORD_SLACK
+
+        def in_reach(balls):
+            return [ball for ball in balls if math.dist(view._cover_center, ball.center) - ball.radius <= limit]
+
+        assert in_reach(view._cover) == list(view._cover)
+        level = [child for ball in view._cover for child in ((ball,) if ball.indices is not None else (ball.left, ball.right))]
+        assert all(ball.indices is not None for ball in view._cover) or len(in_reach(level)) > spatial_index._COVER_BALLS
 
     def test_empty_tree(self):
         view = build_index([]).around([GeoPoint(0, 0)], 100.0)
