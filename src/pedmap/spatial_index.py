@@ -58,15 +58,33 @@ farthest from A, and each point joins the nearer of the two by dot products,
 ties going to the earliest point and to A. Each split carries its points'
 index, x, y and z lists and its A's coordinates; the root's are the flat arrays,
 one per coordinate, that queries read, so the build copies none of them.
+
+A tree of at least ``_FORK_POINTS`` points uses two processes when it can:
+where ``os.fork`` exists, two CPUs are usable and no other thread runs. After
+the root's split, a forked child grows the right half while this process grows
+the left (the subtree-level parallelism of Shevtsov, Soupikov & Kapustin 2007,
+"Highly parallel fast KD-tree construction for interactive ray tracing of
+dynamic scenes"). The child sends its half back through a pipe as flat arrays
+in preorder, and floats cross the pipe bit for bit. Both halves run the same
+``_split`` and ``_make_ball`` on the same floats, so the tree equals the one
+built in one process, ball for ball. If the pipe or the fork fails, the child
+exits non-zero, or its message is not whole, this process splits the root again
+and grows that half itself. The child leaves only by ``os._exit``; if this
+process raises while the child runs, it kills the child, and it reaps it either
+way.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
+import threading
 from array import array
 from copy import copy
 from heapq import heappop, heappush
 from math import cos, dist, hypot, inf, radians, sin, sqrt
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .geodesy import EARTH_RADIUS_M, GeoPoint, Heading, haversine_distance
 
@@ -82,6 +100,11 @@ _CHORD_SLACK = 1e-12
 # wide blocks (K = 50-200 m, or 20x stopping distances) ran 2.8-6x slower than from the root. A cap of 32 ran 20x
 # stopping distances 1.05-1.13x slower than 16; one of 8 was within 6% of 16 either way on the bench workloads.
 _COVER_BALLS = 16
+
+# A tree of at least this many points grows half of itself in a child process (see the module docstring). Against
+# one process, the forked build broke even at about 4,000 points in a 41 MiB process and 6,000 in a 240 MiB one (the
+# fork copies page tables: 1.1 and 3.2 ms), and took 0.76x and 0.81x at 16,000 points (paired runs, 2-vCPU VM).
+_FORK_POINTS = 16_000
 
 
 def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
@@ -180,9 +203,42 @@ class BallTree:
         return left, right
 
     def _build(self, leaf_size: int) -> _Ball:
+        pts = self._root_points()
+        if len(pts[0]) <= leaf_size or len(pts[0]) < _FORK_POINTS or not _may_fork():
+            return self._grow(pts, leaf_size)
+        # Split the root as _grow would, then grow its right half in a child while this process grows the left.
+        root, a = self._make_ball(*pts[1:])
+        left, right = self._split(*pts, a)
+        del pts
+        child = _fork(lambda: _encode(self._grow(right, leaf_size)))
+        if child is None:
+            root.left, root.right = self._grow(left, leaf_size), self._grow(right, leaf_size)
+            return root
+        del right  # the child grows it
+        pid, r = child
+        with open(r, "rb") as f:
+            try:
+                root.left = self._grow(left, leaf_size)
+                data = f.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                try:
+                    status = os.waitpid(pid, 0)[1]
+                except ChildProcessError:  # reaped already, as when SIGCHLD is ignored: its exit is unknown
+                    status = -1
+        root.right = _decode(data) if status == 0 else None
+        if root.right is None:  # the child failed: split its half off the root again and grow it here
+            root.right = self._grow(self._split(*self._root_points(), a)[1], leaf_size)
+        return root
+
+    def _root_points(self) -> tuple:
+        return list(range(len(self._points))), self._xs, self._ys, self._zs
+
+    def _grow(self, pts: tuple, leaf_size: int) -> _Ball:
         # Iterative construction: a degenerate split sequence must not hit the interpreter recursion
         # limit. Each entry carries its points' index, x, y and z lists (the root's are the arrays), and its split's A.
-        pts = (list(range(len(self._points))), self._xs, self._ys, self._zs)
         root, a = self._make_ball(*pts[1:])
         stack = [(root, pts, a)]
         while stack:
@@ -302,6 +358,75 @@ class BallTree:
 
 
 build_index = BallTree
+
+
+def _may_fork() -> bool:
+    """Whether a child process may grow half a tree: ``os.fork`` exists, two CPUs are usable, and no other
+    thread runs (a fork copies one thread, and a lock another held stays held in the child)."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
+
+
+def _fork(produce: Callable[[], bytes]) -> Optional[tuple[int, int]]:
+    """Start a child that writes ``produce()`` to a pipe and exits: its pid and the pipe's read end, or None if
+    no child could be started. The child leaves only by ``os._exit``, so it flushes none of the stdio it inherited."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            with open(w, "wb") as f:
+                f.write(produce())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _encode(root: _Ball) -> bytes:
+    """A subtree as one message: the centers, radii and leaf sizes (0 for an inner ball) of its balls in
+    preorder, and its leaves' indices, each a flat array."""
+    centers, radii, sizes, indices = array("d"), array("d"), array("q"), array("q")
+    stack = [root]
+    while stack:
+        ball = stack.pop()
+        centers.extend(ball.center)
+        radii.append(ball.radius)
+        if ball.indices is None:
+            sizes.append(0)
+            stack += ball.right, ball.left
+        else:
+            sizes.append(len(ball.indices))
+            indices.extend(ball.indices)
+    return marshal.dumps(tuple(column.tobytes() for column in (centers, radii, sizes, indices)))
+
+
+def _decode(data: bytes) -> Optional[_Ball]:
+    """The subtree ``_encode`` wrote, or None if ``data`` is not one whole message."""
+    balls: list[_Ball] = []
+    try:
+        centers, radii, sizes, indices = (array(code, b) for code, b in zip("ddqq", marshal.loads(data), strict=True))
+        xyz, end = iter(centers), len(indices)
+        # From the last ball back: an inner ball's subtrees are the last two decoded, the left one on top.
+        for center, radius, size in reversed(list(zip(zip(xyz, xyz, xyz), radii, sizes, strict=True))):
+            ball = _Ball(center, radius, indices[end - size : end].tolist() if size else None)
+            end -= size
+            if not size:
+                ball.left, ball.right = balls.pop(), balls.pop()
+            balls.append(ball)
+    except (EOFError, IndexError, TypeError, ValueError):
+        return None
+    return balls[0] if len(balls) == 1 and end == 0 and len(centers) == 3 * len(radii) else None
 
 
 def nearest_brute_force(points: Sequence[GeoPoint], query: GeoPoint) -> Optional[NeighborResult]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -29,6 +30,18 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail the test that leaves a child process unreaped (a missed ``os.waitpid``), not the ones after it."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        pytest.fail("the test left a child process unreaped")
 
 
 def wrap_lon(lon: float) -> float:

@@ -1,6 +1,14 @@
+import contextlib
+import gc
 import heapq
+import marshal
 import math
+import os
 import random
+import signal
+import threading
+import time
+from array import array
 from unittest import mock
 
 import pytest
@@ -472,6 +480,32 @@ _edge_points = st.lists(st.one_of(_near_antimeridian, _near_pole, _sites), min_s
 )
 
 
+# One point many times over: every split ties, so each one halves.
+_tied_points = st.builds(lambda p, n: [p] * n, st.one_of(_sites, _anywhere, _near_antimeridian, _near_pole), st.integers(2, 60))
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked build needs os.fork")
+
+
+def _in_process(points, leaf_size=spatial_index.DEFAULT_LEAF_SIZE):
+    with mock.patch.object(spatial_index, "_may_fork", return_value=False):
+        return build_index(points, leaf_size=leaf_size)
+
+
+@contextlib.contextmanager
+def _forking(fork_points):
+    """Trees of at least ``fork_points`` points fork, even on one CPU; yields the pids ``os.fork`` returns."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pids.append(real_fork())
+        return pids[-1]
+
+    with mock.patch.object(spatial_index, "_FORK_POINTS", fork_points), mock.patch.object(
+        os, "sched_getaffinity", lambda pid: {0, 1}, create=True
+    ), mock.patch.object(os, "fork", fork):
+        yield pids
+
+
 class TestBuildMatchesIndexListBuild:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_ball_points, _edge_points), st.one_of(st.integers(1, 8), st.just(16)))
@@ -484,6 +518,218 @@ class TestBuildMatchesIndexListBuild:
         rng = random.Random(5000)
         tree = build_index(random_points(rng, 5000, extent=1.0))
         assert _dfs(tree._root) == _dfs(_reference_tree(tree, spatial_index.DEFAULT_LEAF_SIZE))
+
+    @needs_fork
+    def test_forked_tree_past_the_fork_size(self):
+        points = random_points(random.Random(32), spatial_index._FORK_POINTS + 500, extent=1.0)
+        with _forking(spatial_index._FORK_POINTS) as pids:
+            tree = build_index(points)
+        assert len(pids) == 1
+        assert _dfs(tree._root) == _dfs(_in_process(points)._root)
+
+    @needs_fork
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_ball_points, _edge_points, _tied_points), st.one_of(st.integers(1, 8), st.just(16)))
+    @example([GeoPoint(0, 180), GeoPoint(0, -180), GeoPoint(0, 179.5), GeoPoint(0, -179.5)] * 3, 2)
+    @example([GeoPoint(90, 0), GeoPoint(-90, 0), GeoPoint(89.9, 45), GeoPoint(-89.9, -135)] * 3, 1)
+    @example([GeoPoint(32.8, -117.3)] * 40, 3)
+    def test_forked_tree_matches_in_process_tree(self, points, leaf_size):
+        with _forking(2) as pids:
+            tree = build_index(points, leaf_size=leaf_size)
+        assert len(pids) == (len(points) > leaf_size)
+        assert _dfs(tree._root) == _dfs(_in_process(points, leaf_size)._root)
+
+
+def _open_fds():
+    """How many file descriptors this process has open, or None where ``/proc/self/fd`` does not list them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _failing(calls, error):
+    def fail(*args):
+        calls.append(args)
+        raise error
+
+    return fail
+
+
+# Each arranges one way the forked build falls back to growing the right half in this process, and checks,
+# once the builds are done, that the build took that way.
+def _no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    yield
+
+
+def _pipe_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "pipe", _failing(calls, OSError("pipe")))
+    yield
+    assert calls
+
+
+def _fork_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "fork", _failing(calls, OSError("fork")))
+    yield
+    assert calls
+
+
+def _child_fails(monkeypatch):
+    # The child raises before it writes, so it exits with 1.
+    statuses, real_waitpid = [], os.waitpid
+    monkeypatch.setattr(spatial_index, "_encode", _failing([], ZeroDivisionError()))
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: statuses.append(real_waitpid(pid, options)) or statuses[-1])
+    yield
+    assert statuses and all(os.waitstatus_to_exitcode(status) == 1 for _, status in statuses)
+
+
+def _child_truncates(monkeypatch):
+    decoded, real_encode, real_decode = [], spatial_index._encode, spatial_index._decode
+    monkeypatch.setattr(spatial_index, "_encode", lambda root: real_encode(root)[:-1])
+    monkeypatch.setattr(spatial_index, "_decode", lambda data: decoded.append(real_decode(data)) or decoded[-1])
+    yield
+    assert decoded == [None, None]
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _failing([], AssertionError("forked with one usable CPU")), raising=False)
+    yield
+
+
+def _child_reaped_unseen(monkeypatch):
+    # With SIGCHLD ignored the kernel reaps the child itself, and waitpid fails with ECHILD.
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def _second_thread(monkeypatch):
+    monkeypatch.setattr(os, "fork", _failing([], AssertionError("forked with a second thread")), raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+@needs_fork
+class TestForkedBuildFallsBack:
+    points = random_points(random.Random(33), 400, extent=1.0)
+
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        """Trees of at least 100 points fork, even on one CPU."""
+        monkeypatch.setattr(spatial_index, "_FORK_POINTS", 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize(
+        "arrange",
+        [_no_fork, _pipe_fails, _fork_fails, _child_fails, _child_truncates, _child_reaped_unseen, _one_cpu, _second_thread],
+    )
+    def test_same_tree_and_nothing_left_behind(self, forking, monkeypatch, arrange):
+        expected = _dfs(_in_process(self.points, 4)._root)
+        was_enabled = gc.isenabled()
+        with contextlib.contextmanager(arrange)(monkeypatch):
+            fds = _open_fds()
+            for collecting in (True, False):
+                gc.enable() if collecting else gc.disable()
+                tree = build_index(self.points, leaf_size=4)
+                assert gc.isenabled() == collecting
+                assert _dfs(tree._root) == expected
+            gc.enable() if was_enabled else gc.disable()
+            assert _open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_build_leaves_nothing_behind(self):
+        fds = _open_fds()
+        with _forking(100) as pids:
+            tree = build_index(self.points, leaf_size=4)
+        assert len(pids) == 1 and _open_fds() == fds
+        assert _dfs(tree._root) == _dfs(_in_process(self.points, 4)._root)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_parent_kills_and_reaps_the_child(self, forking, monkeypatch):
+        parent, real_grow = os.getpid(), spatial_index.BallTree._grow
+
+        def grow(tree, pts, leaf_size):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the child outlives the test unless it is killed
+            return real_grow(tree, pts, leaf_size)
+
+        monkeypatch.setattr(spatial_index.BallTree, "_grow", grow)
+        fds, start = _open_fds(), time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            build_index(self.points, leaf_size=4)
+        assert time.monotonic() - start < 30 and _open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_side_run_in_this_process(self, forking, monkeypatch):
+        # tests/src_coverage.py traces only its own process, so the child's side runs here: fork "returns" 0, and
+        # _exit raises in place of ending the process. What it wrote to the pipe decodes to the right subtree.
+        class Exited(Exception):
+            pass
+
+        def _exit(code):
+            raise Exited(code)
+
+        fds, real_pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: fds.extend(real_pipe()) or tuple(fds))
+        monkeypatch.setattr(os, "fork", lambda: 0)
+        monkeypatch.setattr(os, "_exit", _exit)
+        with pytest.raises(Exited) as exited:
+            build_index(self.points, leaf_size=4)
+        assert exited.value.args == (0,)
+        with open(fds[0], "rb") as f:
+            subtree = spatial_index._decode(f.read())
+        assert _dfs(subtree) == _dfs(_in_process(self.points, 4)._root.right)
+
+
+class TestSubtreeMessage:
+    def test_round_trip(self):
+        tree = _in_process(random_points(random.Random(34), 300, extent=1.0), 4)
+        assert _dfs(spatial_index._decode(spatial_index._encode(tree._root))) == _dfs(tree._root)
+
+    def test_degenerate_tree_round_trips_without_recursion(self):
+        # A tree 5,000 balls deep, past the recursion limit, built by hand: a spine of inner balls whose
+        # left children are single-point leaves.
+        root = ball = spatial_index._Ball((0.0, 0.0, 1.0), 0.0)
+        for i in range(5000):
+            ball.left = spatial_index._Ball((0.0, 0.0, 1.0), 0.0, [i])
+            ball.right = ball = spatial_index._Ball((0.0, 0.0, 1.0), 0.0)
+        ball.indices = [5000]
+        assert _dfs(spatial_index._decode(spatial_index._encode(root))) == _dfs(root)
+
+    @pytest.mark.parametrize("cut", [1, 8, 100])
+    def test_a_message_cut_short_decodes_to_none(self, cut):
+        data = spatial_index._encode(_in_process(random_points(random.Random(35), 300), 4)._root)
+        assert spatial_index._decode(data[:-cut]) is None
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([0.0] * 3, [0.0], [0], []),  # an inner ball with no children
+            ([0.0] * 9, [0.0] * 3, [1, 1, 1], [0, 1, 2]),  # two roots
+            ([0.0] * 4, [0.0], [1], [0]),  # a center of four floats
+            ([0.0] * 3, [0.0], [2], [0]),  # a leaf past the indices
+            ([], [], [], []),  # no ball
+        ],
+    )
+    def test_a_malformed_message_decodes_to_none(self, columns):
+        arrays = [array(code, column).tobytes() for code, column in zip("ddqq", columns)]
+        assert spatial_index._decode(marshal.dumps(tuple(arrays))) is None
+        assert spatial_index._decode(marshal.dumps(42)) is None
 
 
 @st.composite
