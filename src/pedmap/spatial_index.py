@@ -68,10 +68,9 @@ dynamic scenes"). The child sends its half back through a pipe as flat arrays
 in preorder, and floats cross the pipe bit for bit. Both halves run the same
 ``_split`` and ``_make_ball`` on the same floats, so the tree equals the one
 built in one process, ball for ball. If the pipe or the fork fails, the child
-exits non-zero, or its message is not whole, this process splits the root again
-and grows that half itself. The child leaves only by ``os._exit``; if this
-process raises while the child runs, it kills the child, and it reaps it either
-way.
+is not seen to exit with 0, or its message is not whole, this process grows
+that half itself. The child leaves only by ``os._exit``; if this process raises
+while the child runs, it kills the child, and it reaps it either way.
 """
 
 from __future__ import annotations

@@ -481,7 +481,9 @@ _edge_points = st.lists(st.one_of(_near_antimeridian, _near_pole, _sites), min_s
 
 
 # One point many times over: every split ties, so each one halves.
-_tied_points = st.builds(lambda p, n: [p] * n, st.one_of(_sites, _anywhere, _near_antimeridian, _near_pole), st.integers(2, 60))
+_tied_points = st.builds(
+    lambda p, n: [p] * n, st.one_of(_sites, _anywhere, _near_antimeridian, _near_pole), st.integers(2, 60)
+)
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked build needs os.fork")
 
@@ -632,7 +634,8 @@ class TestForkedBuildFallsBack:
 
     @pytest.mark.parametrize(
         "arrange",
-        [_no_fork, _pipe_fails, _fork_fails, _child_fails, _child_truncates, _child_reaped_unseen, _one_cpu, _second_thread],
+        [_no_fork, _pipe_fails, _fork_fails, _child_fails, _child_truncates, _child_reaped_unseen]
+        + [_one_cpu, _second_thread],
     )
     def test_same_tree_and_nothing_left_behind(self, forking, monkeypatch, arrange):
         expected = _dfs(_in_process(self.points, 4)._root)
@@ -640,11 +643,11 @@ class TestForkedBuildFallsBack:
         with contextlib.contextmanager(arrange)(monkeypatch):
             fds = _open_fds()
             for collecting in (True, False):
-                gc.enable() if collecting else gc.disable()
+                (gc.enable if collecting else gc.disable)()
                 tree = build_index(self.points, leaf_size=4)
                 assert gc.isenabled() == collecting
                 assert _dfs(tree._root) == expected
-            gc.enable() if was_enabled else gc.disable()
+            (gc.enable if was_enabled else gc.disable)()
             assert _open_fds() == fds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -724,12 +727,12 @@ class TestSubtreeMessage:
             ([0.0] * 4, [0.0], [1], [0]),  # a center of four floats
             ([0.0] * 3, [0.0], [2], [0]),  # a leaf past the indices
             ([], [], [], []),  # no ball
+            None,  # not four columns
         ],
     )
     def test_a_malformed_message_decodes_to_none(self, columns):
-        arrays = [array(code, column).tobytes() for code, column in zip("ddqq", columns)]
-        assert spatial_index._decode(marshal.dumps(tuple(arrays))) is None
-        assert spatial_index._decode(marshal.dumps(42)) is None
+        message = 42 if columns is None else tuple(array(c, col).tobytes() for c, col in zip("ddqq", columns))
+        assert spatial_index._decode(marshal.dumps(message)) is None
 
 
 @st.composite
